@@ -356,6 +356,17 @@ class Sequential(Node):
         return dy
 
 
+class ParamVersion:
+    """Parameter-update counter shared by a model and its reversible blocks.
+
+    Holding this rather than a reference to the model keeps a model free of
+    reference cycles, so a dropped model is freed at once.
+    """
+
+    def __init__(self):
+        self.value = 0
+
+
 class RevBlock(Node):
     """Additive-coupling reversible block: y1 = x1 + F(x2), y2 = x2 + G(y1).
 
@@ -367,20 +378,20 @@ class RevBlock(Node):
 
     op = "rev"
 
-    def __init__(self, name, f, g, strategy="reversible"):
+    def __init__(self, name, f, g, strategy="reversible", version=None):
         super().__init__(name)
         if strategy not in STRATEGIES:
             raise ValueError("unknown strategy %r" % (strategy,))
         self.f = f
         self.g = g
         self.strategy = strategy
-        self._version_fn = None    # wired by the owning model
+        self.version = version    # the owning model's ParamVersion
 
     def children(self):
         return [self.f, self.g]
 
     def _version(self):
-        return self._version_fn() if self._version_fn is not None else 0
+        return self.version.value if self.version is not None else 0
 
     def forward(self, x, tape):
         x1, x2 = channel_split(x)

@@ -7,8 +7,17 @@ All spatial ops take rank-5 (n, c, d, h, w) tensors, stride 1, and zero
 needs beyond the caller-held inputs; the engine decides which of those
 arrays count as retained activation storage.
 
-Accumulation orders are fixed (offset-major loops, single matmul per
-offset) so repeated runs are bitwise identical.
+The k x k x k convolutions share one layout: the input is zero-padded once
+and flattened, with neighbouring rows and planes sharing their padding, so
+each tap's window over the whole (d, h + r, w + r) grid is one contiguous
+slice, and results are cropped from that grid. Forward and input gradient
+add one product per tap in offset-major (dz, dy, dx) order, so they equal
+a per-offset loop over strided windows bitwise wherever BLAS rounds a
+matmul column the same at any matrix width (elementwise depthwise products
+always). The input gradient is the same correlation over padded dy with
+mirrored taps. The weight gradient is reduced over the padded grid, whose
+extra columns are zero, so it matches such a loop only to rounding. Every
+accumulation order is fixed, so repeated runs are bitwise identical.
 """
 
 import numpy as np
@@ -21,10 +30,6 @@ def group_size_for(c):
     return 10 if c % 10 == 0 else c
 
 
-def _pad_spatial(x, r):
-    return np.pad(x, ((0, 0), (0, 0), (r, r), (r, r), (r, r)))
-
-
 def _check_kernel(x, w):
     if w.ndim != 5 or w.shape[2] != w.shape[3] or w.shape[2] != w.shape[4]:
         raise ShapeError("kernel must be rank-5 with cubic spatial dims, got %r" % (w.shape,))
@@ -32,47 +37,69 @@ def _check_kernel(x, w):
         raise ShapeError("kernel size must be odd, got %d" % w.shape[2])
 
 
-def conv3d(x, w, b=None):
-    """Standard 3D convolution, stride 1, zero 'same' padding."""
-    _check_kernel(x, w)
-    n, ci, d, h, wd = x.shape
-    co, ci_k, k = w.shape[:3]
-    if ci_k != ci:
-        raise ShapeError("conv3d channel mismatch: input %d, kernel %d" % (ci, ci_k))
+def _windows(a, k):
+    """The k**3 tap windows of ``a`` over the shifted grid, in (dz, dy, dx) order.
+
+    ``a`` is zero-padded once into a flat (n, c, T) array whose rows and
+    planes share their padding: the grid is (d, hp, wp) = (d, h + r, w + r).
+    Tap (dz, dy, dx) of every grid voxel is then the contiguous (n, c, L)
+    slice at offset (dz * hp + dy) * wp + dx, L = d * hp * wp. The zero tail
+    keeps the last window in bounds.
+    """
+    n, c, d, h, w = a.shape
     r = k // 2
-    xp = _pad_spatial(x, r)
-    out = None
-    for dz in range(k):
-        for dyy in range(k):
-            for dx in range(k):
-                patch = xp[:, :, dz:dz + d, dyy:dyy + h, dx:dx + wd]
-                term = np.matmul(w[:, :, dz, dyy, dx], patch.reshape(n, ci, -1))
-                out = term if out is None else out + term
-    out = out.reshape(n, co, d, h, wd)
-    if b is not None:
-        out = out + b.reshape(1, co, 1, 1, 1)
+    hp, wp = h + r, w + r
+    L = d * hp * wp
+    af = np.zeros((n, c, L + 2 * r * (hp * wp + wp + 1)), dtype=a.dtype)
+    af[:, :, :(d + r) * hp * wp].reshape(n, c, d + r, hp, wp)[:, :, r:, r:, r:] = a
+    return [af[:, :, off:off + L]
+            for off in ((dz * hp + dy) * wp + dx
+                        for dz in range(k) for dy in range(k) for dx in range(k))]
+
+
+def _accumulate(windows, term):
+    """Sum ``term(i, windows[i], buf)`` over the taps in order, into one grid array."""
+    out = term(0, windows[0], None)
+    tmp = None
+    for i in range(1, len(windows)):
+        tmp = term(i, windows[i], tmp)
+        out += tmp
     return out
 
 
-def conv3d_bwd(x, w, dy, has_bias):
-    n, ci, d, h, wd = x.shape
-    co, _, k = w.shape[:3]
+def _crop(grid, shape, k):
+    """The contiguous (n, c, d, h, w) result held in an (n, c, L) grid array."""
+    d, h, w = shape
     r = k // 2
-    xp = _pad_spatial(x, r)
-    dyf = dy.reshape(n, co, -1)
-    dxp = np.zeros_like(xp)
-    dw = np.zeros_like(w)
-    for dz in range(k):
-        for dyy in range(k):
-            for dx in range(k):
-                patch = xp[:, :, dz:dz + d, dyy:dyy + h, dx:dx + wd]
-                dw[:, :, dz, dyy, dx] = np.tensordot(
-                    dyf, patch.reshape(n, ci, -1), axes=([0, 2], [0, 2]))
-                dxp[:, :, dz:dz + d, dyy:dyy + h, dx:dx + wd] += np.matmul(
-                    w[:, :, dz, dyy, dx].T, dyf).reshape(n, ci, d, h, wd)
-    dx = dxp[:, :, r:r + d, r:r + h, r:r + wd]
+    return np.ascontiguousarray(grid.reshape(grid.shape[:2] + (d, h + r, w + r))[:, :, :, :h, :w])
+
+
+def conv3d(x, w, b=None):
+    """Standard 3D convolution, stride 1, zero 'same' padding."""
+    _check_kernel(x, w)
+    ci = x.shape[1]
+    co, ci_k, k = w.shape[:3]
+    if ci_k != ci:
+        raise ShapeError("conv3d channel mismatch: input %d, kernel %d" % (ci, ci_k))
+    wt = w.reshape(co, ci, -1)
+    out = _accumulate(_windows(x, k), lambda i, win, buf: np.matmul(wt[:, :, i], win, out=buf))
+    if b is not None:
+        out += b.reshape(1, co, 1)
+    return _crop(out, x.shape[2:], k)
+
+
+def conv3d_bwd(x, w, dy, has_bias):
+    co, ci, k = w.shape[:3]
+    wt = w.reshape(co, ci, -1)
+    dyw = _windows(dy, k)
+    # the centre window is dy on the grid, zero in the columns the crop drops
+    dyg = dyw[len(dyw) // 2]
+    dw = np.stack([np.matmul(dyg, win.transpose(0, 2, 1)).sum(axis=0)
+                   for win in _windows(x, k)], axis=-1)
+    # the adjoint is the same correlation over padded dy, with mirrored taps
+    dx = _accumulate(dyw[::-1], lambda i, win, buf: np.matmul(wt[:, :, i].T, win, out=buf))
     db = dy.sum(axis=(0, 2, 3, 4)) if has_bias else None
-    return np.ascontiguousarray(dx), dw, db
+    return _crop(dx, x.shape[2:], k), dw.reshape(w.shape), db
 
 
 def pointwise_conv3d(x, w, b=None):
@@ -101,38 +128,24 @@ def pointwise_conv3d_bwd(x, w, dy, has_bias):
 def depthwise_conv3d(x, w):
     """Per-channel spatial convolution; channel i of the output sees only channel i."""
     _check_kernel(x, w)
-    n, c, d, h, wd = x.shape
+    c, k = x.shape[1], w.shape[2]
     if w.shape[0] != c or w.shape[1] != 1:
         raise ShapeError("depthwise kernel mismatch: input %d channels, kernel %r"
                          % (c, w.shape[:2]))
-    k = w.shape[2]
-    r = k // 2
-    xp = _pad_spatial(x, r)
-    out = None
-    for dz in range(k):
-        for dyy in range(k):
-            for dx in range(k):
-                patch = xp[:, :, dz:dz + d, dyy:dyy + h, dx:dx + wd]
-                term = w[:, 0, dz, dyy, dx].reshape(1, c, 1, 1, 1) * patch
-                out = term if out is None else out + term
-    return out
+    wt = w.reshape(c, -1, 1)
+    out = _accumulate(_windows(x, k), lambda i, win, buf: np.multiply(wt[:, i], win, out=buf))
+    return _crop(out, x.shape[2:], k)
 
 
 def depthwise_conv3d_bwd(x, w, dy):
-    n, c, d, h, wd = x.shape
-    k = w.shape[2]
-    r = k // 2
-    xp = _pad_spatial(x, r)
-    dxp = np.zeros_like(xp)
-    dw = np.zeros_like(w)
-    for dz in range(k):
-        for dyy in range(k):
-            for dx in range(k):
-                patch = xp[:, :, dz:dz + d, dyy:dyy + h, dx:dx + wd]
-                dw[:, 0, dz, dyy, dx] = (dy * patch).sum(axis=(0, 2, 3, 4))
-                dxp[:, :, dz:dz + d, dyy:dyy + h, dx:dx + wd] += (
-                    w[:, 0, dz, dyy, dx].reshape(1, c, 1, 1, 1) * dy)
-    return np.ascontiguousarray(dxp[:, :, r:r + d, r:r + h, r:r + wd]), dw
+    c, k = x.shape[1], w.shape[2]
+    wt = w.reshape(c, -1, 1)
+    dyw = _windows(dy, k)
+    dyg = dyw[len(dyw) // 2][..., None]
+    dw = np.stack([np.matmul(win[:, :, None], dyg)[:, :, 0, 0].sum(axis=0)
+                   for win in _windows(x, k)], axis=-1)
+    dx = _accumulate(dyw[::-1], lambda i, win, buf: np.multiply(wt[:, i], win, out=buf))
+    return _crop(dx, x.shape[2:], k), dw.reshape(w.shape)
 
 
 def group_norm(x, gamma, beta, group_size, eps=1e-5):

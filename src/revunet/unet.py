@@ -19,7 +19,7 @@ import os
 import numpy as np
 
 from .blocks import make_block, standard_block
-from .engine import MaxPool2, Pointwise, RevBlock, Sequential, Upsample2, walk
+from .engine import MaxPool2, ParamVersion, Pointwise, RevBlock, Sequential, Upsample2, walk
 from .rng import rng_for
 from .tensor import ShapeError, check_tensor5, ew_add, precision_of, tensor_read, tensor_write
 
@@ -152,7 +152,7 @@ class Model:
         self.config = config
         self.precision = precision
         self.strategy = strategy
-        self.param_version = 0
+        self.version = ParamVersion()
         dtype = _NP_DTYPE[precision]
         widths = config.widths
         levels = config.levels
@@ -166,8 +166,7 @@ class Model:
                 "enc%d.rev" % i,
                 make_block(config.block_kind, "enc%d.rev.f" % i, half, config.expand_ratio, dtype),
                 make_block(config.block_kind, "enc%d.rev.g" % i, half, config.expand_ratio, dtype),
-                strategy=strategy)
-            rev._version_fn = lambda: self.param_version
+                strategy=strategy, version=self.version)
             pool = MaxPool2("pool%d" % i) if i < levels - 1 else None
             self.enc.append(_EncLevel(raise_, rev, pool))
 
@@ -189,8 +188,12 @@ class Model:
             lvl.rev.strategy = strategy
         self.strategy = strategy
 
+    @property
+    def param_version(self):
+        return self.version.value
+
     def bump_version(self):
-        self.param_version += 1
+        self.version.value += 1
 
     def _toplevel(self):
         """Top-level nodes in execution order."""

@@ -1,5 +1,8 @@
 """Execution engine: ledger accounting, tape, reversible blocks, strategies."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -197,6 +200,19 @@ class TestRevBlock:
         model.zero_grads()
         with pytest.raises(EngineError):
             model.backward(_x((1, 4, 16, 16, 16), seed=1), tape)
+
+    def test_dropped_model_is_freed_without_cycle_collection(self):
+        # the blocks share the model's version counter, not a closure over it
+        gc.disable()
+        try:
+            model = build("mbconv-base-toy", seed=0, precision="double")
+            model.bump_version()
+            assert model.enc[0].rev.version.value == 1
+            ref = weakref.ref(model)
+            del model
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 def _leaves(node):

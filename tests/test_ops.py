@@ -15,6 +15,87 @@ def _gen(*labels):
     return rng_for(0, "test-ops", *labels)
 
 
+# The offset-major loops the conv kernels used before the shifted-window
+# rewrite, kept as a test-only oracle for its forward and input gradient.
+def _pad(x, r):
+    return np.pad(x, ((0, 0), (0, 0), (r, r), (r, r), (r, r)))
+
+
+def _loops_conv3d(x, w, b=None):
+    n, ci, d, h, wd = x.shape
+    co, _, k = w.shape[:3]
+    xp = _pad(x, k // 2)
+    out = None
+    for dz in range(k):
+        for dyy in range(k):
+            for dx in range(k):
+                patch = xp[:, :, dz:dz + d, dyy:dyy + h, dx:dx + wd]
+                term = np.matmul(w[:, :, dz, dyy, dx], patch.reshape(n, ci, -1))
+                out = term if out is None else out + term
+    out = out.reshape(n, co, d, h, wd)
+    if b is not None:
+        out = out + b.reshape(1, co, 1, 1, 1)
+    return out
+
+
+def _loops_conv3d_bwd(x, w, dy):
+    n, ci, d, h, wd = x.shape
+    co, _, k = w.shape[:3]
+    r = k // 2
+    xp = _pad(x, r)
+    dyf = dy.reshape(n, co, -1)
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for dz in range(k):
+        for dyy in range(k):
+            for dx in range(k):
+                patch = xp[:, :, dz:dz + d, dyy:dyy + h, dx:dx + wd]
+                dw[:, :, dz, dyy, dx] = np.tensordot(
+                    dyf, patch.reshape(n, ci, -1), axes=([0, 2], [0, 2]))
+                dxp[:, :, dz:dz + d, dyy:dyy + h, dx:dx + wd] += np.matmul(
+                    w[:, :, dz, dyy, dx].T, dyf).reshape(n, ci, d, h, wd)
+    return dxp[:, :, r:r + d, r:r + h, r:r + wd], dw
+
+
+def _loops_depthwise(x, w):
+    n, c, d, h, wd = x.shape
+    k = w.shape[2]
+    xp = _pad(x, k // 2)
+    out = None
+    for dz in range(k):
+        for dyy in range(k):
+            for dx in range(k):
+                patch = xp[:, :, dz:dz + d, dyy:dyy + h, dx:dx + wd]
+                term = w[:, 0, dz, dyy, dx].reshape(1, c, 1, 1, 1) * patch
+                out = term if out is None else out + term
+    return out
+
+
+def _loops_depthwise_bwd(x, w, dy):
+    n, c, d, h, wd = x.shape
+    k = w.shape[2]
+    r = k // 2
+    xp = _pad(x, r)
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for dz in range(k):
+        for dyy in range(k):
+            for dx in range(k):
+                patch = xp[:, :, dz:dz + d, dyy:dyy + h, dx:dx + wd]
+                dw[:, 0, dz, dyy, dx] = (dy * patch).sum(axis=(0, 2, 3, 4))
+                dxp[:, :, dz:dz + d, dyy:dyy + h, dx:dx + wd] += (
+                    w[:, 0, dz, dyy, dx].reshape(1, c, 1, 1, 1) * dy)
+    return dxp[:, :, r:r + d, r:r + h, r:r + wd], dw
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+KERNEL_SHAPES = [(1, 1, 1), (2, 2, 2), (4, 4, 4), (5, 6, 7)]
+DW_TOL = {np.float32: 1e-6, np.float64: 1e-13}
+
+
 class TestConv3d:
     def test_identity_kernel(self):
         x = _gen("id").standard_normal((1, 1, 3, 3, 3))
@@ -42,12 +123,73 @@ class TestConv3d:
         w = gen.standard_normal((3, 4, 3, 3, 3))
         assert verify._rel(ops.conv3d(x, w), reference.conv3d_loops(x, w)) <= TOL_ORACLE
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_model_widths_match_offset_major_loops(self, dtype):
+        gen = _gen("widths", str(dtype))
+        x = gen.standard_normal((1, 8, 16, 16, 16)).astype(dtype)
+        w = gen.standard_normal((8, 8, 3, 3, 3)).astype(dtype)
+        dy = gen.standard_normal((1, 8, 16, 16, 16)).astype(dtype)
+        assert _same_bits(ops.conv3d(x, w), _loops_conv3d(x, w))
+        assert _same_bits(ops.conv3d_bwd(x, w, dy, False)[0], _loops_conv3d_bwd(x, w, dy)[0])
+
     def test_shape_errors(self):
         x = np.zeros((1, 2, 4, 4, 4))
         with pytest.raises(ShapeError):
             ops.conv3d(x, np.zeros((3, 1, 3, 3, 3)))  # channel mismatch
         with pytest.raises(ShapeError):
             ops.conv3d(x, np.zeros((3, 2, 2, 2, 2)))  # even kernel
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+class TestShiftedWindowKernels:
+    """Forward and dx reproduce the offset-major loops bit for bit; dw is
+    reduced over the padded grid, so it agrees to rounding."""
+
+    def _data(self, label, dtype, shape, ci, co, k, depthwise=False):
+        gen = _gen("shifted", label, str(dtype), str(k), str(shape))
+        x = gen.standard_normal((2, ci) + shape).astype(dtype)
+        w = gen.standard_normal((co, 1 if depthwise else ci, k, k, k)).astype(dtype)
+        dy = gen.standard_normal((2, co) + shape).astype(dtype)
+        return x, w, dy
+
+    def test_depthwise(self, dtype, k, shape):
+        x, w, dy = self._data("dw", dtype, shape, 3, 3, k, depthwise=True)
+        assert _same_bits(ops.depthwise_conv3d(x, w), _loops_depthwise(x, w))
+        dx, dw = ops.depthwise_conv3d_bwd(x, w, dy)
+        dx_loops, dw_loops = _loops_depthwise_bwd(x, w, dy)
+        assert _same_bits(dx, dx_loops)
+        assert dw.dtype == dtype and verify._rel(dw, dw_loops) <= DW_TOL[dtype]
+
+    def test_conv3d_single_channel(self, dtype, k, shape):
+        # one channel in and out: every per-tap product is exact, whatever
+        # BLAS routine computes it, so this pins the tap order, the bias, the
+        # crop and the mirrored taps of dx on every shape
+        x, w, dy = self._data("conv1", dtype, shape, 1, 1, k)
+        b = _gen("bias").standard_normal(1).astype(dtype)
+        assert _same_bits(ops.conv3d(x, w, b), _loops_conv3d(x, w, b))
+        dx, dw, _ = ops.conv3d_bwd(x, w, dy, True)
+        dx_loops, dw_loops = _loops_conv3d_bwd(x, w, dy)
+        assert _same_bits(dx, dx_loops)
+        assert dw.dtype == dtype and verify._rel(dw, dw_loops) <= DW_TOL[dtype]
+
+    def test_conv3d_channels(self, dtype, k, shape):
+        x, w, dy = self._data("conv", dtype, shape, 3, 4, k)
+        b = _gen("bias").standard_normal(4).astype(dtype)
+        out, loops = ops.conv3d(x, w, b), _loops_conv3d(x, w, b)
+        dx, dw, _ = ops.conv3d_bwd(x, w, dy, True)
+        dx_loops, dw_loops = _loops_conv3d_bwd(x, w, dy)
+        if shape == (1, 1, 1) and k > 1:
+            # the loops' per-tap product has one column there, which BLAS
+            # computes as a matrix-vector product with its own rounding
+            eps = np.finfo(dtype).eps
+            assert verify._rel(out, loops) <= 8 * eps
+            assert verify._rel(dx, dx_loops) <= 8 * eps
+        else:
+            assert _same_bits(out, loops)
+            assert _same_bits(dx, dx_loops)
+        assert dw.dtype == dtype and verify._rel(dw, dw_loops) <= DW_TOL[dtype]
 
 
 class TestPointwise:
@@ -100,6 +242,13 @@ class TestDepthwise:
     def test_kernel_mismatch(self):
         with pytest.raises(ShapeError):
             ops.depthwise_conv3d(np.zeros((1, 3, 2, 2, 2)), np.zeros((2, 1, 3, 3, 3)))
+
+    def test_negative_zeros_as_in_the_loops(self):
+        # the first tap's product starts the sum; adding it to +0 would lose the sign
+        x = np.zeros((1, 2, 3, 3, 3))
+        w = -np.ones((2, 1, 3, 3, 3))
+        out = ops.depthwise_conv3d(x, w)
+        assert _same_bits(out, _loops_depthwise(x, w)) and np.signbit(out).all()
 
 
 class TestSeparability:
@@ -244,6 +393,29 @@ class TestFiniteDifferences:
         checks = verify.fd_primitive_suite(0, tol=TOL_FD, coords_per_op=120)
         failed = [c for c in checks if not c["pass"]]
         assert not failed, failed
+
+    def _relu_check(self, near_kink, analytic_shift=0.0):
+        # coordinates within FD_STEP of the ReLU kink have no valid difference
+        gen = _gen("kink")
+        x = gen.uniform(0.2, 1.0, 40) * np.where(gen.uniform(size=40) < 0.5, -1.0, 1.0)
+        x[:near_kink] = 0.2 * verify.FD_STEP
+        analytic = (x > 0).astype(np.float64)
+        analytic[-1] += analytic_shift
+        return verify._fd_check("fd.kink", lambda: float(np.maximum(x, 0.0).sum()), [x],
+                                [analytic], TOL_FD, gen, count=40)
+
+    def test_kink_probes_are_counted_not_failed(self):
+        entry = self._relu_check(near_kink=3)
+        assert entry["pass"] and entry["kinks"] == 3 and entry["coords"] == 37
+        assert entry["max_err"] <= 1e-9
+
+    def test_more_than_a_tenth_kinks_fails(self):
+        entry = self._relu_check(near_kink=5)
+        assert entry["kinks"] == 5 and not entry["pass"]
+
+    def test_wrong_gradient_is_not_taken_for_a_kink(self):
+        entry = self._relu_check(near_kink=0, analytic_shift=1e-3)
+        assert entry["kinks"] == 0 and not entry["pass"]
 
     def test_conv_small_case(self):
         gen = _gen("fd33")

@@ -7,7 +7,7 @@ pointwise -> GN, no activation after the projection) carries no conv
 biases: every conv is followed by a group norm whose beta subsumes them.
 """
 
-from .engine import Conv3, Depthwise3, GroupNorm, Pointwise, ReLU, Sequential, walk
+from .engine import Conv, GroupNorm, ReLU, Sequential, walk
 
 
 def mbconv_block(name, c, expand_ratio, dtype):
@@ -16,13 +16,13 @@ def mbconv_block(name, c, expand_ratio, dtype):
         raise ValueError("expand ratio must be a positive integer")
     tc = expand_ratio * c
     return Sequential(name, [
-        Pointwise(name + ".expand", c, tc, dtype, bias=False),
+        Conv(name + ".expand", c, tc, 1, dtype),
         GroupNorm(name + ".gn1", tc, dtype),
         ReLU(name + ".relu1"),
-        Depthwise3(name + ".dw", tc, dtype),
+        Conv(name + ".dw", tc, tc, 3, dtype, depthwise=True),
         GroupNorm(name + ".gn2", tc, dtype),
         ReLU(name + ".relu2"),
-        Pointwise(name + ".project", tc, c, dtype, bias=False),
+        Conv(name + ".project", tc, c, 1, dtype),
         GroupNorm(name + ".gn3", c, dtype),
     ])
 
@@ -30,7 +30,7 @@ def mbconv_block(name, c, expand_ratio, dtype):
 def standard_block(name, c, dtype):
     """Plain 3x3x3 conv -> group norm -> ReLU."""
     return Sequential(name, [
-        Conv3(name + ".conv", c, c, dtype, bias=False),
+        Conv(name + ".conv", c, c, 3, dtype),
         GroupNorm(name + ".gn", c, dtype),
         ReLU(name + ".relu"),
     ])

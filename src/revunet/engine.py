@@ -5,7 +5,7 @@ Every node saves a fixed, documented context for its backward pass:
   ============  =========================================
   node          saved context (ledger reason)
   ============  =========================================
-  conv kinds    input
+  conv          input (pointwise, standard and depthwise)
   group norm    xhat, rstd
   relu          input
   maxpool       idx (argmax indices, one per output voxel)
@@ -39,8 +39,7 @@ class MemoryLedger:
     """Exact element/byte accounting of tensors retained for backward."""
 
     def __init__(self):
-        self.entries = {}      # (node, reason) -> {"op", "elements", "bytes"}
-        self._order = []
+        self.entries = {}      # (node, reason) -> {"op", "elements", "bytes"}, registration order
         self._ids = set()
         self.retained_elements = 0
         self.retained_bytes = 0
@@ -57,18 +56,16 @@ class MemoryLedger:
         # the array reference keeps id() valid for the dedup set
         self.entries[key] = {"op": op, "elements": int(arr.size),
                              "bytes": int(arr.nbytes), "array": arr}
-        self._order.append(key)
         self.retained_elements += arr.size
         self.retained_bytes += arr.nbytes
         self.peak_elements = max(self.peak_elements, self.retained_elements)
         self.peak_bytes = max(self.peak_bytes, self.retained_bytes)
 
-    def release(self, node, reason, arr=None):
+    def release(self, node, reason):
         key = (node, reason)
         entry = self.entries.pop(key, None)
         if entry is None:
             return
-        self._order.remove(key)
         self._ids.discard(id(entry["array"]))
         self.retained_elements -= entry["elements"]
         self.retained_bytes -= entry["bytes"]
@@ -79,11 +76,9 @@ class MemoryLedger:
 
     def report(self, strategy=None, precision=None):
         entries = [
-            {"node": node, "reason": reason,
-             "op": self.entries[(node, reason)]["op"],
-             "elements": self.entries[(node, reason)]["elements"],
-             "bytes": self.entries[(node, reason)]["bytes"]}
-            for node, reason in self._order
+            {"node": node, "reason": reason, "op": e["op"],
+             "elements": e["elements"], "bytes": e["bytes"]}
+            for (node, reason), e in self.entries.items()
         ]
         return {
             "schema_version": 1,
@@ -103,11 +98,7 @@ class Tape:
     def __init__(self, ledger=None):
         self.ctx = {}
         self.meta = {}
-        self.nodes = []        # (name, op) in execution order
         self.ledger = ledger
-
-    def record(self, name, op):
-        self.nodes.append((name, op))
 
     def save(self, name, reason, op, arr):
         self.ctx[(name, reason)] = arr
@@ -117,7 +108,7 @@ class Tape:
     def take(self, name, reason):
         arr = self.ctx.pop((name, reason))
         if self.ledger is not None:
-            self.ledger.release(name, reason, arr)
+            self.ledger.release(name, reason)
         return arr
 
 
@@ -131,7 +122,7 @@ class Node:
         self.grads = {}
 
     def param_items(self):
-        return []
+        return [(attr, getattr(self, attr)) for attr in self.grads]
 
     def children(self):
         return []
@@ -150,109 +141,46 @@ class Node:
         raise NotImplementedError
 
 
-class Pointwise(Node):
-    op = "pointwise"
+class Conv(Node):
+    """k x k x k convolution, zero "same" padding, stride 1; pointwise when
+    k = 1, one filter per channel (cout = cin) when depthwise."""
 
-    def __init__(self, name, cin, cout, dtype, bias=True):
+    def __init__(self, name, cin, cout, k, dtype, depthwise=False, bias=False):
         super().__init__(name)
-        self.cin, self.cout = cin, cout
-        self.w = np.zeros((cout, cin, 1, 1, 1), dtype=dtype)
+        if depthwise and bias:
+            raise ValueError("depthwise convs carry no bias")
+        self.op = "depthwise" if depthwise else "pointwise" if k == 1 else "conv"
+        self.w = np.zeros((cout, 1 if depthwise else cin, k, k, k), dtype=dtype)
         self.b = np.zeros(cout, dtype=dtype) if bias else None
         self.grads = {"w": np.zeros_like(self.w)}
         if bias:
             self.grads["b"] = np.zeros_like(self.b)
 
-    def param_items(self):
-        items = [("w", self.w)]
-        if self.b is not None:
-            items.append(("b", self.b))
-        return items
-
     def init_params(self, gen):
-        std = np.sqrt(2.0 / self.cin)
+        std = np.sqrt(2.0 / self.w[0].size)
         self.w[...] = gen.standard_normal(self.w.shape, dtype=self.w.dtype) * self.w.dtype.type(std)
 
     def forward(self, x, tape):
-        y = ops.pointwise_conv3d(x, self.w, self.b)
+        # ops are looked up per call so that patched ops (fault injection,
+        # tracing) take effect on existing nodes
+        if self.op == "depthwise":
+            y = ops.depthwise_conv3d(x, self.w)
+        else:
+            y = (ops.pointwise_conv3d if self.op == "pointwise" else ops.conv3d)(x, self.w, self.b)
         if tape is not None:
-            tape.record(self.name, self.op)
             tape.save(self.name, "input", self.op, x)
         return y
 
     def backward(self, dy, tape):
         x = tape.take(self.name, "input")
-        dx, dw, db = ops.pointwise_conv3d_bwd(x, self.w, dy, self.b is not None)
+        if self.op == "depthwise":
+            (dx, dw), db = ops.depthwise_conv3d_bwd(x, self.w, dy), None
+        else:
+            bwd = ops.pointwise_conv3d_bwd if self.op == "pointwise" else ops.conv3d_bwd
+            dx, dw, db = bwd(x, self.w, dy, self.b is not None)
         self.grads["w"] += dw
         if db is not None:
             self.grads["b"] += db
-        return dx
-
-
-class Conv3(Node):
-    op = "conv"
-
-    def __init__(self, name, cin, cout, dtype, bias=False):
-        super().__init__(name)
-        self.cin, self.cout = cin, cout
-        self.w = np.zeros((cout, cin, 3, 3, 3), dtype=dtype)
-        self.b = np.zeros(cout, dtype=dtype) if bias else None
-        self.grads = {"w": np.zeros_like(self.w)}
-        if bias:
-            self.grads["b"] = np.zeros_like(self.b)
-
-    def param_items(self):
-        items = [("w", self.w)]
-        if self.b is not None:
-            items.append(("b", self.b))
-        return items
-
-    def init_params(self, gen):
-        std = np.sqrt(2.0 / (27.0 * self.cin))
-        self.w[...] = gen.standard_normal(self.w.shape, dtype=self.w.dtype) * self.w.dtype.type(std)
-
-    def forward(self, x, tape):
-        y = ops.conv3d(x, self.w, self.b)
-        if tape is not None:
-            tape.record(self.name, self.op)
-            tape.save(self.name, "input", self.op, x)
-        return y
-
-    def backward(self, dy, tape):
-        x = tape.take(self.name, "input")
-        dx, dw, db = ops.conv3d_bwd(x, self.w, dy, self.b is not None)
-        self.grads["w"] += dw
-        if db is not None:
-            self.grads["b"] += db
-        return dx
-
-
-class Depthwise3(Node):
-    op = "depthwise"
-
-    def __init__(self, name, c, dtype):
-        super().__init__(name)
-        self.c = c
-        self.w = np.zeros((c, 1, 3, 3, 3), dtype=dtype)
-        self.grads = {"w": np.zeros_like(self.w)}
-
-    def param_items(self):
-        return [("w", self.w)]
-
-    def init_params(self, gen):
-        std = np.sqrt(2.0 / 27.0)
-        self.w[...] = gen.standard_normal(self.w.shape, dtype=self.w.dtype) * self.w.dtype.type(std)
-
-    def forward(self, x, tape):
-        y = ops.depthwise_conv3d(x, self.w)
-        if tape is not None:
-            tape.record(self.name, self.op)
-            tape.save(self.name, "input", self.op, x)
-        return y
-
-    def backward(self, dy, tape):
-        x = tape.take(self.name, "input")
-        dx, dw = ops.depthwise_conv3d_bwd(x, self.w, dy)
-        self.grads["w"] += dw
         return dx
 
 
@@ -268,15 +196,11 @@ class GroupNorm(Node):
         self.beta = np.zeros(c, dtype=dtype)
         self.grads = {"gamma": np.zeros_like(self.gamma), "beta": np.zeros_like(self.beta)}
 
-    def param_items(self):
-        return [("gamma", self.gamma), ("beta", self.beta)]
-
     def forward(self, x, tape):
         if x.shape[1] != self.c:
             raise ShapeError("%s expects %d channels, got %d" % (self.name, self.c, x.shape[1]))
         y, xhat, rstd = ops.group_norm(x, self.gamma, self.beta, self.group_size, self.eps)
         if tape is not None:
-            tape.record(self.name, self.op)
             tape.save(self.name, "xhat", self.op, xhat)
             tape.save(self.name, "rstd", self.op, rstd)
         return y
@@ -296,7 +220,6 @@ class ReLU(Node):
     def forward(self, x, tape):
         y = ops.relu(x)
         if tape is not None:
-            tape.record(self.name, self.op)
             tape.save(self.name, "input", self.op, x)
         return y
 
@@ -311,7 +234,6 @@ class MaxPool2(Node):
     def forward(self, x, tape):
         y, idx = ops.maxpool3d(x)
         if tape is not None:
-            tape.record(self.name, self.op)
             tape.save(self.name, "idx", self.op, idx)
             tape.meta[(self.name, "in_shape")] = x.shape
         return y
@@ -327,7 +249,6 @@ class Upsample2(Node):
     def forward(self, x, tape):
         y = ops.trilinear_upsample(x)
         if tape is not None:
-            tape.record(self.name, self.op)
             tape.meta[(self.name, "in_shape")] = x.shape
         return y
 
@@ -400,7 +321,6 @@ class RevBlock(Node):
         y2 = ew_add(x2, self.g.forward(y1, inner))
         y = channel_concat(y1, y2)
         if tape is not None:
-            tape.record(self.name, self.op)
             tape.meta[(self.name, "version")] = self._version()
             if self.strategy == "reversible":
                 tape.save(self.name, "out", self.op, y)

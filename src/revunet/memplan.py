@@ -14,11 +14,11 @@ separately. Batch size is 1 throughout.
 
 import dataclasses
 
+from .engine import STRATEGIES
 from .ops import group_size_for
 from .unet import resolve_config
 
 SCALAR_BYTES = {"single": 4, "double": 8}
-STRATEGIES = ("store-all", "reversible")
 
 ACCOUNTING_RULES = [
     "convolutions (standard, pointwise, depthwise) save their input",

@@ -19,7 +19,7 @@ import os
 import numpy as np
 
 from .blocks import make_block, standard_block
-from .engine import MaxPool2, ParamVersion, Pointwise, RevBlock, Sequential, Upsample2, walk
+from .engine import Conv, MaxPool2, ParamVersion, RevBlock, Upsample2, walk
 from .rng import rng_for
 from .tensor import ShapeError, check_tensor5, ew_add, precision_of, tensor_read, tensor_write
 
@@ -160,7 +160,7 @@ class Model:
         self.enc = []
         for i, c in enumerate(widths):
             prev = config.in_ch if i == 0 else widths[i - 1]
-            raise_ = Pointwise("enc%d.raise" % i, prev, c, dtype, bias=True)
+            raise_ = Conv("enc%d.raise" % i, prev, c, 1, dtype, bias=True)
             half = c // 2
             rev = RevBlock(
                 "enc%d.rev" % i,
@@ -173,11 +173,11 @@ class Model:
         self.dec = []
         for i in range(levels - 1):
             up = Upsample2("dec%d.up" % i)
-            reduce = Pointwise("dec%d.reduce" % i, widths[i + 1], widths[i], dtype, bias=True)
+            reduce = Conv("dec%d.reduce" % i, widths[i + 1], widths[i], 1, dtype, bias=True)
             block = standard_block("dec%d" % i, widths[i], dtype)
             self.dec.append(_DecLevel(up, reduce, block))
 
-        self.head = Pointwise("head", widths[0], config.num_classes, dtype, bias=True)
+        self.head = Conv("head", widths[0], config.num_classes, 1, dtype, bias=True)
 
     @property
     def dtype(self):
@@ -303,7 +303,7 @@ class Model:
             entry = by_name.pop(name, None)
             if entry is None:
                 raise ValueError("parameter %s missing from manifest" % name)
-            stored = tensor_read(os.path.join(path, entry["file"]))
+            stored = tensor_read(os.path.join(path, _inside(entry["file"])))
             if precision_of(stored) != model.precision:
                 raise ValueError("parameter %s precision %s does not match model %s"
                                  % (name, precision_of(stored), model.precision))
@@ -314,6 +314,14 @@ class Model:
         if by_name:
             raise ValueError("manifest lists unknown parameters: %s" % sorted(by_name))
         return model
+
+
+def _inside(rel):
+    """A manifest file path, refused unless it stays inside the model directory."""
+    norm = os.path.normpath(rel)
+    if os.path.isabs(norm) or norm == os.pardir or norm.startswith(os.pardir + os.sep):
+        raise ValueError("manifest file %r is outside the model directory" % (rel,))
+    return norm
 
 
 def build(config, seed, precision="double", strategy="reversible"):

@@ -93,6 +93,9 @@ def test_criterion_05_memory_estimate_matches_runtime_ledger_exactly():
                 (1, config.in_ch) + config.image_size).astype(np.float32)
             model.forward(x, Tape(ledger))
             assert memplan.element_map(est) == ledger.element_map(), (config, strategy)
+            rows = [[(e["node"], e["reason"], e["op"], e["elements"]) for e in doc["entries"]]
+                    for doc in (ledger.report(), est)]
+            assert rows[0] == rows[1], (config, strategy)
             checked += 1
     _line(5, "closed-form estimate equals the runtime ledger element-for-"
              "element on %d configs x both strategies (%d comparisons)"

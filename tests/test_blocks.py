@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from revunet.blocks import make_block, mbconv_block, param_count, standard_block
-from revunet.engine import MemoryLedger, Tape, walk
+from revunet.engine import Conv, MemoryLedger, Tape, walk
 from revunet.ops import group_size_for
 from revunet.rng import rng_for
 
@@ -58,11 +58,12 @@ class TestStructure:
         assert [n.op for n in blk.nodes] == ["conv", "groupnorm", "relu"]
 
     def test_no_conv_biases(self):
-        for blk in (mbconv_block("b", 4, 2, np.float64),
-                    standard_block("b", 4, np.float64)):
-            for leaf in walk(blk):
-                if leaf.op in ("pointwise", "conv3"):
-                    assert leaf.b is None
+        for blk, n_convs in ((mbconv_block("b", 4, 2, np.float64), 3),
+                             (standard_block("b", 4, np.float64), 1)):
+            convs = [leaf for leaf in walk(blk) if isinstance(leaf, Conv)]
+            assert len(convs) == n_convs
+            for leaf in convs:
+                assert leaf.b is None
 
     def test_zero_parameters_give_zero_map(self):
         for blk in (mbconv_block("b", 4, 2, np.float64),

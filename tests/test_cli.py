@@ -9,6 +9,7 @@ import pytest
 from revunet import cli, memplan
 from revunet.phantoms import read_corpus, write_corpus
 from revunet.tensor import tensor_read, tensor_write
+from revunet.unet import build
 
 MBCONV_BASE_REV_ELEMENTS = 2_948_362_279
 
@@ -212,6 +213,24 @@ class TestTrainAndSegment:
         code, _, _ = run(capsys, ["segment", "--model", str(tmp_path / "no"),
                                   "--volume", vol, "--out", str(tmp_path / "o.rvt")])
         assert code == 2
+
+
+    def test_manifest_escaping_model_dir_is_usage_error(self, capsys, tmp_path):
+        model_dir = tmp_path / "m"
+        build("mbconv-base-toy", seed=0, precision="single").save(model_dir)
+        manifest = json.loads((model_dir / "manifest.json").read_text())
+        entry = manifest["params"][0]
+        outside = tmp_path / "outside.rvt"
+        outside.write_bytes((model_dir / entry["file"]).read_bytes())
+        entry["file"] = "../outside.rvt"
+        (model_dir / "manifest.json").write_text(json.dumps(manifest))
+        vol = str(tmp_path / "v.rvt")
+        tensor_write(np.zeros((1, 4, 16, 16, 16), dtype=np.float32), vol)
+        code, _, err = run(capsys, ["segment", "--model", str(model_dir),
+                                    "--volume", vol, "--out", str(tmp_path / "o.rvt")])
+        assert code == 2
+        assert "outside the model directory" in err
+        assert not os.path.exists(tmp_path / "o.rvt")
 
 
 class TestEnsembleSelect:

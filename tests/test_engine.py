@@ -9,13 +9,14 @@ import pytest
 from revunet import verify
 from revunet.blocks import make_block
 from revunet.engine import (
+    Conv,
     EngineError,
     MemoryLedger,
     Node,
-    Pointwise,
     RevBlock,
     Sequential,
     Tape,
+    walk,
 )
 from revunet.rng import rng_for
 from revunet.unet import build
@@ -56,7 +57,7 @@ class TestMemoryLedger:
         led.register("n1", "input", "op", a)
         led.register("n2", "input", "op", b)
         assert led.retained_elements == a.size + b.size
-        led.release("n1", "input", a)
+        led.release("n1", "input")
         assert led.retained_elements == b.size
         assert led.peak_elements == a.size + b.size  # peak survives release
 
@@ -76,7 +77,7 @@ class TestMemoryLedger:
 
     def test_release_unknown_is_noop(self):
         led = MemoryLedger()
-        led.release("ghost", "input", np.zeros(3))
+        led.release("ghost", "input")
         assert led.retained_elements == 0
 
     def test_report_document(self):
@@ -160,7 +161,7 @@ class TestRevBlock:
         blk = RevBlock("blk", f, g, strategy=strategy)
         gen = rng_for(0, "mb-init")
         for half in (f, g):
-            for leaf in _leaves(half):
+            for leaf in walk(half):
                 leaf.init_params(gen)
         return blk
 
@@ -215,26 +216,21 @@ class TestRevBlock:
             gc.enable()
 
 
-def _leaves(node):
-    kids = node.children()
-    if not kids:
-        yield node
-        return
-    for kid in kids:
-        yield from _leaves(kid)
-
-
 class TestAccounting:
     def test_single_pointwise_retains_its_input(self):
-        node = Pointwise("pw", 3, 2, np.float64, bias=True)
+        node = Conv("pw", 3, 2, 1, np.float64, bias=True)
         led = MemoryLedger()
         x = _x((1, 3, 4, 4, 4))
         node.forward(x, Tape(led))
         assert led.retained_elements == x.size
 
+    def test_depthwise_conv_refuses_bias(self):
+        with pytest.raises(ValueError):
+            Conv("dw", 4, 4, 3, np.float64, depthwise=True, bias=True)
+
     def test_two_block_chain_peak_subadditive(self):
-        a = Pointwise("a", 2, 2, np.float64)
-        b = Pointwise("b", 2, 2, np.float64)
+        a = Conv("a", 2, 2, 1, np.float64, bias=True)
+        b = Conv("b", 2, 2, 1, np.float64, bias=True)
         x = _x((1, 2, 4, 4, 4))
 
         led_a, led_b = MemoryLedger(), MemoryLedger()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from revunet import memplan
+from revunet import memplan, verify
 from revunet.engine import MemoryLedger, Tape
 from revunet.memplan import (
     budget_search,
@@ -23,6 +23,11 @@ BASE_REVERSIBLE_ELEMENTS = 2_948_362_279
 BASE_STORE_ALL_ELEMENTS = 8_371_671_393
 
 
+def _rows(entries):
+    """Ordered (node, reason, op, elements) rows of a ledger or estimate report."""
+    return [(e["node"], e["reason"], e["op"], e["elements"]) for e in entries]
+
+
 def _grid_configs():
     cases = []
     for kind, t in (("standard", None), ("mbconv", 1), ("mbconv", 2), ("mbconv", 8)):
@@ -38,7 +43,8 @@ class TestEstimateMatchesLedger:
     def test_exact_entry_for_entry_over_config_grid(self, strategy):
         configs = _grid_configs()
         assert len(configs) >= 20
-        for config in configs:
+        toys = [PRESETS[name] for name in verify.TOY_PRESETS] + [verify.TOY2]
+        for config in configs + toys:
             est = estimate(config, strategy, "single")
             model = build(config, seed=0, precision="single", strategy=strategy)
             ledger = MemoryLedger()
@@ -46,6 +52,7 @@ class TestEstimateMatchesLedger:
                 (1, config.in_ch) + config.image_size).astype(np.float32)
             model.forward(x, Tape(ledger))
             assert element_map(est) == ledger.element_map(), (config, strategy)
+            assert _rows(ledger.report()["entries"]) == _rows(est["entries"]), (config, strategy)
             assert est["peak_bytes"] == ledger.peak_bytes, (config, strategy)
 
     def test_precision_only_scales_bytes(self):

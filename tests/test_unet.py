@@ -184,6 +184,20 @@ class TestSaveLoad:
         with pytest.raises(ValueError):
             Model.load(tmp_path / "m")
 
+    @pytest.mark.parametrize("escape", ["relative", "absolute"])
+    def test_file_outside_model_dir_rejected(self, tmp_path, escape):
+        model = build(_toy(), seed=0)
+        model.save(tmp_path / "m")
+        manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
+        entry = manifest["params"][0]
+        # a valid parameter file, so only the path check can refuse it
+        outside = tmp_path / "outside.rvt"
+        outside.write_bytes((tmp_path / "m" / entry["file"]).read_bytes())
+        entry["file"] = "params/../../outside.rvt" if escape == "relative" else str(outside)
+        (tmp_path / "m" / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="outside the model directory"):
+            Model.load(tmp_path / "m")
+
     def test_unknown_parameter_rejected(self, tmp_path):
         model = build(_toy(), seed=0)
         model.save(tmp_path / "m")

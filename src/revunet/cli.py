@@ -139,7 +139,7 @@ def cmd_train(args):
 
 
 def cmd_segment(args):
-    model = Model.load(args.model, strategy=args.strategy)
+    model = Model.load(args.model)
     volume = tensor_read(args.volume)
     if volume.shape[1] != model.config.in_ch:
         raise ShapeError("volume has %d channels, model expects %d"
@@ -261,7 +261,6 @@ def build_parser():
     p.add_argument("--out", required=True, help="output RVT1 label map")
     p.add_argument("--labels", default=None,
                    help="optional reference labels; adds Dice to the report")
-    p.add_argument("--strategy", choices=STRATEGIES, default="reversible")
     p.set_defaults(func=cmd_segment)
 
     p = sub.add_parser("ensemble-select",

@@ -13,6 +13,7 @@ Every node saves a fixed, documented context for its backward pass:
   rev block     nothing in store-all mode beyond what its
                 sub-blocks save; only its output ("out")
                 in reversible mode
+  level         nothing (its children save their own)
   add/split/..  nothing
   ============  =========================================
 

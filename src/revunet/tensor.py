@@ -11,9 +11,10 @@ RVT1 file layout (little-endian throughout):
     byte  4      precision tag: 0 = single (f32), 1 = double (f64)
     byte  5      rank, must be 5
     bytes 6..45  five u64 dims (n, c, d, h, w)
-    bytes 46..   raw scalars, row-major, w fastest
+    bytes 46..   raw scalars, row-major, w fastest, all finite
 """
 
+import os
 import struct
 
 import numpy as np
@@ -83,9 +84,17 @@ def ew_sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a - b
 
 
+def _finite(t: np.ndarray) -> bool:
+    # min and max propagate NaN and reach +-Inf, and unlike np.isfinite
+    # they allocate no mask as large as the tensor
+    return bool(np.isfinite(t.min()) and np.isfinite(t.max()))
+
+
 def tensor_write(t: np.ndarray, path) -> None:
     """Write a rank-5 tensor to an RVT1 file; round-trips bitwise."""
     t = check_tensor5(t)
+    if not _finite(t):
+        raise ValueError("refusing to write a tensor with NaN or Inf scalars")
     prec = precision_of(t)
     header = _HEADER.pack(MAGIC, _PREC_TAG[prec], 5, *t.shape)
     with open(path, "wb") as fh:
@@ -94,28 +103,37 @@ def tensor_write(t: np.ndarray, path) -> None:
 
 
 def tensor_read(path) -> np.ndarray:
-    """Read an RVT1 file back into a rank-5 array."""
+    """Read an RVT1 file back into a rank-5 array.
+
+    The header, and the payload size it declares against the file size, are
+    checked before any payload byte is read; the payload is then read once,
+    straight into the returned array. NaN or Inf scalars are refused.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size:
-        raise FormatError(f"file too short for RVT1 header: {len(raw)} bytes")
-    magic, tag, rank, *dims = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    if tag not in _TAG_PREC:
-        raise FormatError(f"unknown precision tag {tag}")
-    if rank != 5:
-        raise FormatError(f"rank must be 5, got {rank}")
-    dtype = DTYPES[_TAG_PREC[tag]]
-    count = 1
-    for d in dims:
-        if d < 1:
-            raise FormatError(f"dims must be >= 1, got {tuple(dims)}")
-        count *= d
-    payload = raw[_HEADER.size:]
-    if len(payload) != count * dtype.itemsize:
-        raise FormatError(
-            f"payload holds {len(payload) // dtype.itemsize} scalars, header declares {count}"
-        )
-    data = np.frombuffer(payload, dtype=dtype).reshape(dims)
-    return data.copy()  # own the memory, writable
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise FormatError(f"file too short for RVT1 header: {len(head)} bytes")
+        magic, tag, rank, *dims = _HEADER.unpack(head)
+        if magic != MAGIC:
+            raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
+        if tag not in _TAG_PREC:
+            raise FormatError(f"unknown precision tag {tag}")
+        if rank != 5:
+            raise FormatError(f"rank must be 5, got {rank}")
+        dtype = DTYPES[_TAG_PREC[tag]]
+        count = 1
+        for d in dims:
+            if d < 1:
+                raise FormatError(f"dims must be >= 1, got {tuple(dims)}")
+            count *= d
+        payload = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if payload != count * dtype.itemsize:
+            raise FormatError(
+                f"payload holds {payload // dtype.itemsize} scalars, header declares {count}"
+            )
+        data = np.empty(dims, dtype=dtype)
+        if fh.readinto(data) != payload:
+            raise FormatError("file shrank while its payload was read")
+    if not _finite(data):
+        raise FormatError("payload holds NaN or Inf scalars")
+    return data

@@ -1,11 +1,14 @@
 """Full architecture assembly, presets, and model serialization.
 
-Encoder level i: pointwise channel-raise to widths[i], then a reversible
-block whose F and G halves are blocks of width widths[i]/2; 2x2x2 max
-pool between levels. Decoder level i: trilinear upsample, pointwise
-reduce widths[i+1] -> widths[i], additive skip from encoder level i,
-then a standard conv block. Head: pointwise to num_classes. Batch size
-is fixed at 1 (group norm makes this viable).
+The network is a chain of nested Level nodes followed by a head. Level i
+runs its encoder (pointwise channel-raise to widths[i], then a reversible
+block whose F and G halves are blocks of width widths[i]/2). Above the
+bottom level it then 2x2x2 max-pools into level i+1, which it holds as
+`down`, and runs its decoder on what comes back: trilinear upsample,
+pointwise reduce widths[i+1] -> widths[i], additive skip from its own
+encoder, then a standard conv block. Head: pointwise to num_classes.
+Forward, backward and the leaf (parameter) order all follow this one
+nesting. Batch size is fixed at 1 (group norm makes this viable).
 
 A model serializes to a directory: config.json, manifest.json, and one
 RVT1 file per parameter (natural shapes padded to rank 5 with trailing
@@ -19,7 +22,7 @@ import os
 import numpy as np
 
 from .blocks import make_block, standard_block
-from .engine import Conv, MaxPool2, ParamVersion, RevBlock, Upsample2, walk
+from .engine import Conv, MaxPool2, Node, ParamVersion, RevBlock, Upsample2, walk
 from .rng import rng_for
 from .tensor import ShapeError, check_tensor5, ew_add, precision_of, tensor_read, tensor_write
 
@@ -130,18 +133,61 @@ def resolve_config(source):
     raise ValueError("unknown preset or missing config file: %r" % (source,))
 
 
-class _EncLevel:
-    def __init__(self, raise_, rev, pool):
-        self.raise_ = raise_
-        self.rev = rev
-        self.pool = pool
+class Level(Node):
+    """Encoder level i, every level below it, and decoder level i.
 
+    raise_ -> rev gives h. Above the bottom level, h is pooled and handed to
+    `down` (level i+1); what comes back is upsampled, reduced, added to h as
+    the skip and run through the decoder block. The bottom level stops at h.
+    """
 
-class _DecLevel:
-    def __init__(self, up, reduce, block):
-        self.up = up
-        self.reduce = reduce
-        self.block = block
+    op = "level"
+
+    def __init__(self, i, config, dtype, strategy, version, down=None):
+        super().__init__("level%d" % i)
+        c = config.widths[i]
+        prev = config.in_ch if i == 0 else config.widths[i - 1]
+        self.raise_ = Conv("enc%d.raise" % i, prev, c, 1, dtype, bias=True)
+        self.rev = RevBlock(
+            "enc%d.rev" % i,
+            make_block(config.block_kind, "enc%d.rev.f" % i, c // 2, config.expand_ratio, dtype),
+            make_block(config.block_kind, "enc%d.rev.g" % i, c // 2, config.expand_ratio, dtype),
+            strategy=strategy, version=version)
+        self.down = down
+        self.pool = self.up = self.reduce = self.block = None
+        if down is not None:
+            self.pool = MaxPool2("pool%d" % i)
+            self.up = Upsample2("dec%d.up" % i)
+            self.reduce = Conv("dec%d.reduce" % i, config.widths[i + 1], c, 1, dtype, bias=True)
+            self.block = standard_block("dec%d" % i, c, dtype)
+
+    def children(self):
+        nodes = (self.raise_, self.rev, self.pool, self.down, self.up, self.reduce, self.block)
+        return [n for n in nodes if n is not None]
+
+    def levels(self):
+        """This level and every level below it, top down."""
+        level = self
+        while level is not None:
+            yield level
+            level = level.down
+
+    # intermediates go straight into the next call, not into locals, so each
+    # is freed as soon as it has been read
+    def forward(self, x, tape):
+        h = self.rev.forward(self.raise_.forward(x, tape), tape)
+        if self.down is None:
+            return h
+        low = self.down.forward(self.pool.forward(h, tape), tape)
+        return self.block.forward(
+            ew_add(self.reduce.forward(self.up.forward(low, tape), tape), h), tape)
+
+    def backward(self, dy, tape):
+        if self.down is not None:
+            dy = self.block.backward(dy, tape)   # additive skip: grad fans out unchanged
+            dlow = self.down.backward(self.up.backward(self.reduce.backward(dy, tape), tape), tape)
+            dy = ew_add(self.pool.backward(dlow, tape), dy)
+        return self.raise_.backward(self.rev.backward(dy, tape), tape)
 
 
 class Model:
@@ -151,42 +197,21 @@ class Model:
             raise ValueError("precision must be 'single' or 'double'")
         self.config = config
         self.precision = precision
-        self.strategy = strategy
         self.version = ParamVersion()
         dtype = _NP_DTYPE[precision]
-        widths = config.widths
-        levels = config.levels
-
-        self.enc = []
-        for i, c in enumerate(widths):
-            prev = config.in_ch if i == 0 else widths[i - 1]
-            raise_ = Conv("enc%d.raise" % i, prev, c, 1, dtype, bias=True)
-            half = c // 2
-            rev = RevBlock(
-                "enc%d.rev" % i,
-                make_block(config.block_kind, "enc%d.rev.f" % i, half, config.expand_ratio, dtype),
-                make_block(config.block_kind, "enc%d.rev.g" % i, half, config.expand_ratio, dtype),
-                strategy=strategy, version=self.version)
-            pool = MaxPool2("pool%d" % i) if i < levels - 1 else None
-            self.enc.append(_EncLevel(raise_, rev, pool))
-
-        self.dec = []
-        for i in range(levels - 1):
-            up = Upsample2("dec%d.up" % i)
-            reduce = Conv("dec%d.reduce" % i, widths[i + 1], widths[i], 1, dtype, bias=True)
-            block = standard_block("dec%d" % i, widths[i], dtype)
-            self.dec.append(_DecLevel(up, reduce, block))
-
-        self.head = Conv("head", widths[0], config.num_classes, 1, dtype, bias=True)
+        # built bottom-up so each level holds the one below it
+        self.top = None
+        for i in reversed(range(config.levels)):
+            self.top = Level(i, config, dtype, strategy, self.version, self.top)
+        self.head = Conv("head", config.widths[0], config.num_classes, 1, dtype, bias=True)
 
     @property
     def dtype(self):
         return _NP_DTYPE[self.precision]
 
     def set_strategy(self, strategy):
-        for lvl in self.enc:
-            lvl.rev.strategy = strategy
-        self.strategy = strategy
+        for level in self.top.levels():
+            level.rev.strategy = strategy
 
     @property
     def param_version(self):
@@ -195,22 +220,9 @@ class Model:
     def bump_version(self):
         self.version.value += 1
 
-    def _toplevel(self):
-        """Top-level nodes in execution order."""
-        nodes = []
-        for lvl in self.enc:
-            nodes.append(lvl.raise_)
-            nodes.append(lvl.rev)
-            if lvl.pool is not None:
-                nodes.append(lvl.pool)
-        for i in reversed(range(len(self.dec))):
-            nodes.extend([self.dec[i].up, self.dec[i].reduce, self.dec[i].block])
-        nodes.append(self.head)
-        return nodes
-
     def leaves(self):
-        for top in self._toplevel():
-            yield from walk(top)
+        yield from walk(self.top)
+        yield self.head
 
     def parameters(self):
         for leaf in self.leaves():
@@ -244,38 +256,10 @@ class Model:
 
     def forward(self, x, tape=None):
         self._check_input(x)
-        levels = self.config.levels
-        skips = []
-        h = x
-        for i, lvl in enumerate(self.enc):
-            h = lvl.raise_.forward(h, tape)
-            h = lvl.rev.forward(h, tape)
-            if i < levels - 1:
-                skips.append(h)
-                h = lvl.pool.forward(h, tape)
-        for i in reversed(range(levels - 1)):
-            h = self.dec[i].up.forward(h, tape)
-            h = self.dec[i].reduce.forward(h, tape)
-            h = ew_add(h, skips[i])
-            h = self.dec[i].block.forward(h, tape)
-        return self.head.forward(h, tape)
+        return self.head.forward(self.top.forward(x, tape), tape)
 
     def backward(self, dlogits, tape):
-        levels = self.config.levels
-        dh = self.head.backward(dlogits, tape)
-        dskips = [None] * (levels - 1)
-        for i in range(levels - 1):
-            dh = self.dec[i].block.backward(dh, tape)
-            dskips[i] = dh                        # additive skip: grad fans out unchanged
-            dh = self.dec[i].reduce.backward(dh, tape)
-            dh = self.dec[i].up.backward(dh, tape)
-        for i in reversed(range(levels)):
-            if i < levels - 1:
-                dh = self.enc[i].pool.backward(dh, tape)
-                dh = ew_add(dh, dskips[i])
-            dh = self.enc[i].rev.backward(dh, tape)
-            dh = self.enc[i].raise_.backward(dh, tape)
-        return dh
+        return self.top.backward(self.head.backward(dlogits, tape), tape)
 
     def save(self, path):
         os.makedirs(os.path.join(path, "params"), exist_ok=True)
@@ -292,10 +276,15 @@ class Model:
                        "params": manifest}, f, indent=2)
 
     @classmethod
-    def load(cls, path, strategy="reversible"):
+    def load(cls, path):
+        """Load a saved model directory, refusing manifest paths that leave it.
+
+        The directory is trusted as a whole: the path check is textual, so a
+        symlink inside it is followed wherever it points.
+        """
         with open(os.path.join(path, "config.json")) as f:
             doc = json.load(f)
-        model = cls(UNetConfig.from_dict(doc["config"]), doc["precision"], strategy)
+        model = cls(UNetConfig.from_dict(doc["config"]), doc["precision"])
         with open(os.path.join(path, "manifest.json")) as f:
             manifest = json.load(f)
         by_name = {entry["name"]: entry for entry in manifest["params"]}

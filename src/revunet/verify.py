@@ -50,7 +50,7 @@ def roundtrip_suite(config_spec, seeds, precision="double", tol=1e-10):
         gen = rng_for(seed, "roundtrip-input")
         h = gen.standard_normal((1, config.in_ch) + tuple(config.image_size),
                                 dtype=model.dtype)
-        for i, lvl in enumerate(model.enc):
+        for lvl in model.top.levels():
             a = lvl.raise_.forward(h, None)
             y = lvl.rev.forward(a, None)
             worst = max(worst, float(np.abs(lvl.rev.inverse(y) - a).max()))

@@ -8,10 +8,18 @@ import pytest
 
 from revunet import cli, memplan
 from revunet.phantoms import read_corpus, write_corpus
-from revunet.tensor import tensor_read, tensor_write
+from revunet.tensor import _HEADER, MAGIC, tensor_read, tensor_write
 from revunet.unet import build
 
 MBCONV_BASE_REV_ELEMENTS = 2_948_362_279
+
+
+def _write_non_finite(path, shape, bad):
+    """An RVT1 single-precision volume of ones with one NaN or Inf scalar."""
+    t = np.ones(shape, dtype="<f4")
+    t.flat[t.size // 2] = bad
+    with open(path, "wb") as f:
+        f.write(_HEADER.pack(MAGIC, 0, 5, *shape) + t.tobytes())
 
 
 def run(capsys, argv):
@@ -215,6 +223,29 @@ class TestTrainAndSegment:
         assert code == 2
 
 
+    def test_non_finite_segment_volume_is_usage_error(self, capsys, tmp_path):
+        model_dir = str(tmp_path / "m")
+        build("mbconv-base-toy", seed=0, precision="single").save(model_dir)
+        vol = str(tmp_path / "v.rvt")
+        _write_non_finite(vol, (1, 4, 16, 16, 16), np.nan)
+        code, _, err = run(capsys, ["segment", "--model", model_dir,
+                                    "--volume", vol, "--out", str(tmp_path / "o.rvt")])
+        assert code == 2
+        assert "NaN or Inf" in err
+        assert not os.path.exists(tmp_path / "o.rvt")
+
+    def test_non_finite_corpus_volume_is_usage_error(self, capsys, tmp_path):
+        corpus_dir = str(tmp_path / "corpus")
+        index = write_corpus(corpus_dir, 2, 16, seed=3)
+        _write_non_finite(os.path.join(corpus_dir, index["items"][1]["volume"]),
+                          (1, 4, 16, 16, 16), np.inf)
+        out = tmp_path / "run"
+        code, _, err = run(capsys, ["train", "--data", corpus_dir, "--out", str(out),
+                                    "--seed", "0", "--steps", "1"])
+        assert code == 2
+        assert "NaN or Inf" in err
+        assert not out.exists()
+
     def test_manifest_escaping_model_dir_is_usage_error(self, capsys, tmp_path):
         model_dir = tmp_path / "m"
         build("mbconv-base-toy", seed=0, precision="single").save(model_dir)
@@ -273,6 +304,15 @@ class TestEnsembleSelect:
             capsys, ["ensemble-select", "--stats", stats_path, "--volume", vol_path])
         assert code == 0
         assert report["selected_index"] == 0
+
+    def test_non_finite_volume_is_usage_error(self, capsys, tmp_path):
+        stats_path, vol_path = self._write_inputs(tmp_path)
+        _write_non_finite(vol_path, (1, 1, 4, 4, 4), np.nan)
+        code, out, err = run(capsys, ["ensemble-select", "--stats", stats_path,
+                                      "--volume", vol_path])
+        assert code == 2
+        assert "NaN or Inf" in err
+        assert out == ""
 
     def test_missing_stats(self, capsys, tmp_path):
         _, vol_path = self._write_inputs(tmp_path)

@@ -208,7 +208,7 @@ class TestRevBlock:
         try:
             model = build("mbconv-base-toy", seed=0, precision="double")
             model.bump_version()
-            assert model.enc[0].rev.version.value == 1
+            assert model.top.rev.version.value == 1
             ref = weakref.ref(model)
             del model
             assert ref() is None

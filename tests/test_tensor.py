@@ -1,9 +1,13 @@
 """Rank-5 tensor utilities and the RVT1 file format."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from revunet.tensor import (
+    _HEADER,
+    MAGIC,
     FormatError,
     ShapeError,
     channel_concat,
@@ -19,6 +23,21 @@ from revunet.tensor import (
 
 def _rand(shape, dtype, seed=0):
     return np.random.default_rng(seed).standard_normal(shape).astype(dtype)
+
+
+def _traced_peak(fn):
+    """Peak bytes traced while fn runs, above what was live before it."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 class TestFileFormat:
@@ -85,6 +104,47 @@ class TestFileFormat:
         (tmp_path / "tag.rvt").write_bytes(bytes(raw))
         with pytest.raises(FormatError):
             tensor_read(tmp_path / "tag.rvt")
+
+    def test_bad_magic_refused_before_payload_is_read(self, tmp_path):
+        t = _rand((1, 4, 64, 64, 64), np.float32)
+        tensor_write(t, tmp_path / "t.rvt")
+        raw = bytearray((tmp_path / "t.rvt").read_bytes())
+        raw[:4] = b"NOPE"
+        (tmp_path / "bad.rvt").write_bytes(bytes(raw))
+        del raw
+
+        def read():
+            with pytest.raises(FormatError, match="bad magic"):
+                tensor_read(tmp_path / "bad.rvt")
+
+        assert _traced_peak(read) < 64 * 1024  # the file holds 4.2 MB
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_read_copies_payload_once(self, tmp_path, dtype):
+        t = _rand((1, 4, 32, 32, 32), dtype)
+        tensor_write(t, tmp_path / "t.rvt")
+        out = []
+        peak = _traced_peak(lambda: out.append(tensor_read(tmp_path / "t.rvt")))
+        assert np.array_equal(out[0], t)
+        assert peak <= 1.1 * t.nbytes
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_read_refuses_non_finite(self, tmp_path, bad, dtype):
+        t = _rand((1, 2, 3, 4, 5), dtype)
+        t[0, 1, 2, 3, 4] = bad
+        tag = 0 if dtype == np.float32 else 1
+        (tmp_path / "t.rvt").write_bytes(_HEADER.pack(MAGIC, tag, 5, *t.shape) + t.tobytes())
+        with pytest.raises(FormatError, match="NaN or Inf"):
+            tensor_read(tmp_path / "t.rvt")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_write_refuses_non_finite(self, tmp_path, bad):
+        t = _rand((1, 1, 2, 2, 2), np.float64)
+        t[0, 0, 1, 1, 1] = bad
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            tensor_write(t, tmp_path / "t.rvt")
+        assert not (tmp_path / "t.rvt").exists()
 
     def test_write_rejects_bad_rank(self, tmp_path):
         with pytest.raises(ShapeError):

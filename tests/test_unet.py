@@ -24,6 +24,28 @@ def _toy():
                       block_kind="mbconv", expand_ratio=2)
 
 
+def _mbconv_names(prefix):
+    return [prefix + s for s in (".expand.w", ".gn1.gamma", ".gn1.beta", ".dw.w", ".gn2.gamma",
+                                 ".gn2.beta", ".project.w", ".gn3.gamma", ".gn3.beta")]
+
+
+def _standard_names(prefix):
+    return [prefix + s for s in (".conv.w", ".gn.gamma", ".gn.beta")]
+
+
+def _three_level_order(block_names):
+    """Encoders top down, then decoders bottom up, then the head."""
+    def enc(i):
+        p = "enc%d" % i
+        return [p + ".raise.w", p + ".raise.b"] + block_names(p + ".rev.f") + block_names(p + ".rev.g")
+
+    def dec(i):
+        p = "dec%d" % i
+        return [p + ".reduce.w", p + ".reduce.b"] + _standard_names(p)
+
+    return enc(0) + enc(1) + enc(2) + dec(1) + dec(0) + ["head.w", "head.b"]
+
+
 class TestConfig:
     def test_validate_accepts_presets(self):
         for name, cfg in PRESETS.items():
@@ -124,6 +146,15 @@ class TestModel:
         assert "enc0.rev.f.expand.w" in names
         assert "dec0.conv.w" in names
         assert "head.b" in names
+
+    @pytest.mark.parametrize("kind", ["mbconv", "standard"])
+    def test_parameter_order_is_pinned(self, kind):
+        # saved models, Adam moments and init draws all follow this order
+        config = UNetConfig(widths=(2, 4, 8), image_size=(4, 4, 4), block_kind=kind,
+                            expand_ratio=2 if kind == "mbconv" else None)
+        names = [n for n, _, _, _ in build(config, seed=0).parameters()]
+        block_names = _mbconv_names if kind == "mbconv" else _standard_names
+        assert names == _three_level_order(block_names)
 
     def test_backward_accumulates_on_every_parameter(self):
         model = build(_toy(), seed=2)

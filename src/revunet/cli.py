@@ -17,11 +17,10 @@ import numpy as np
 
 from . import memplan, phantoms, verify
 from .engine import STRATEGIES, EngineError
-from .tensor import ShapeError, tensor_read, tensor_write
+from .tensor import DTYPES, ShapeError, tensor_read, tensor_write
 from .training import LrSchedule, TrainingError, per_class_dice, train
 from .unet import Model, crop_to_record, pad_to_grid, resolve_config
 
-_PRECISIONS = ("single", "double")
 _AXES = ("volume", "depth", "channels")
 
 
@@ -208,7 +207,7 @@ def build_parser():
             p.add_argument("--seed", type=int, required=True,
                            help="explicit seed; required, no ambient randomness")
         if precision is not None:
-            p.add_argument("--precision", choices=_PRECISIONS, default=precision)
+            p.add_argument("--precision", choices=tuple(DTYPES), default=precision)
         if strategy:
             p.add_argument("--strategy", choices=STRATEGIES, default="reversible")
 

@@ -98,8 +98,8 @@ class Tape:
 
     def __init__(self, ledger=None):
         self.ctx = {}
-        self.meta = {}
         self.ledger = ledger
+        self.version = None    # parameter version of the model forward that filled it
 
     def save(self, name, reason, op, arr):
         self.ctx[(name, reason)] = arr
@@ -236,25 +236,22 @@ class MaxPool2(Node):
         y, idx = ops.maxpool3d(x)
         if tape is not None:
             tape.save(self.name, "idx", self.op, idx)
-            tape.meta[(self.name, "in_shape")] = x.shape
         return y
 
     def backward(self, dy, tape):
         idx = tape.take(self.name, "idx")
-        return ops.maxpool3d_bwd(idx, tape.meta[(self.name, "in_shape")], dy)
+        # exact: maxpool3d refuses odd spatial dims
+        return ops.maxpool3d_bwd(idx, idx.shape[:2] + tuple(2 * s for s in idx.shape[2:]), dy)
 
 
 class Upsample2(Node):
     op = "upsample"
 
     def forward(self, x, tape):
-        y = ops.trilinear_upsample(x)
-        if tape is not None:
-            tape.meta[(self.name, "in_shape")] = x.shape
-        return y
+        return ops.trilinear_upsample(x)
 
     def backward(self, dy, tape):
-        return ops.trilinear_upsample_bwd(dy, tape.meta[(self.name, "in_shape")])
+        return ops.trilinear_upsample_bwd(dy, dy.shape[:2] + tuple(s // 2 for s in dy.shape[2:]))
 
 
 class Sequential(Node):
@@ -278,17 +275,6 @@ class Sequential(Node):
         return dy
 
 
-class ParamVersion:
-    """Parameter-update counter shared by a model and its reversible blocks.
-
-    Holding this rather than a reference to the model keeps a model free of
-    reference cycles, so a dropped model is freed at once.
-    """
-
-    def __init__(self):
-        self.value = 0
-
-
 class RevBlock(Node):
     """Additive-coupling reversible block: y1 = x1 + F(x2), y2 = x2 + G(y1).
 
@@ -300,20 +286,16 @@ class RevBlock(Node):
 
     op = "rev"
 
-    def __init__(self, name, f, g, strategy="reversible", version=None):
+    def __init__(self, name, f, g, strategy="reversible"):
         super().__init__(name)
         if strategy not in STRATEGIES:
             raise ValueError("unknown strategy %r" % (strategy,))
         self.f = f
         self.g = g
         self.strategy = strategy
-        self.version = version    # the owning model's ParamVersion
 
     def children(self):
         return [self.f, self.g]
-
-    def _version(self):
-        return self.version.value if self.version is not None else 0
 
     def forward(self, x, tape):
         x1, x2 = channel_split(x)
@@ -321,10 +303,8 @@ class RevBlock(Node):
         y1 = ew_add(x1, self.f.forward(x2, inner))
         y2 = ew_add(x2, self.g.forward(y1, inner))
         y = channel_concat(y1, y2)
-        if tape is not None:
-            tape.meta[(self.name, "version")] = self._version()
-            if self.strategy == "reversible":
-                tape.save(self.name, "out", self.op, y)
+        if tape is not None and self.strategy == "reversible":
+            tape.save(self.name, "out", self.op, y)
         return y
 
     def inverse(self, y):
@@ -339,10 +319,6 @@ class RevBlock(Node):
             dy1_total = ew_add(dy1, self.g.backward(dy2, tape))
             dx2 = ew_add(dy2, self.f.backward(dy1_total, tape))
         else:
-            if tape.meta[(self.name, "version")] != self._version():
-                raise EngineError(
-                    "%s: parameters changed between forward and reversible "
-                    "backward; reconstruction would be wrong" % self.name)
             y = tape.take(self.name, "out")
             y1, y2 = channel_split(y)
             scratch_g = Tape(ledger=None)

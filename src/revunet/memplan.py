@@ -16,9 +16,8 @@ import dataclasses
 
 from .engine import STRATEGIES
 from .ops import group_size_for
+from .tensor import DTYPES
 from .unet import resolve_config
-
-SCALAR_BYTES = {"single": 4, "double": 8}
 
 ACCOUNTING_RULES = [
     "convolutions (standard, pointwise, depthwise) save their input",
@@ -114,7 +113,7 @@ def estimate(config, strategy, precision="single"):
     config.validate()
     if strategy not in STRATEGIES:
         raise ValueError("unknown strategy %r" % (strategy,))
-    width = SCALAR_BYTES[precision]
+    width = DTYPES[precision].itemsize
     rows = _entries(config, strategy)
     entries = [{"node": n, "reason": r, "op": op,
                 "elements": e, "bytes": e * width} for n, r, op, e in rows]

@@ -7,12 +7,13 @@ multi-modality exam.
 
 Augmentation semantics, in composition order: in-plane rotation about
 the slice axis d, isotropic scale, per-axis flips, global intensity
-multiply, elastic warp. Spatial parts are realized as one resample pass
-(trilinear for image channels, nearest for labels, zero fill outside the
-domain); flip-only parameter sets take an exact np.flip path and identity
-parameters are a bitwise no-op. augment() itself accepts any parameter
-values - range enforcement lives in the sampler - so tests can drive it
-at lattice-exact angles like 90 degrees.
+multiply, elastic warp. Every parameter set, identity included, is
+realized as one resample pass (trilinear for image channels, nearest for
+labels, zero fill outside the domain). Lattice coordinates are sampled
+exactly, so identity and flip-only sets come out bitwise equal to a copy
+and to np.flip. augment() itself accepts any parameter values - range
+enforcement lives in the sampler - so tests can drive it at lattice-exact
+angles like 90 degrees.
 """
 
 import dataclasses
@@ -142,32 +143,11 @@ def make_phantom(seed, size):
     return Phantom(volume=vol, labels=labels)
 
 
-def _is_identity(p):
-    return (p.rotation_deg == 0.0 and p.scale == 1.0 and not any(p.flips)
-            and p.intensity == 1.0 and p.elastic_alpha == 0.0)
-
-
 def augment(phantom, params, seed=None):
     vol, lab = phantom.volume, phantom.labels
     if vol.ndim != 5 or vol.shape[0] != 1 or vol.shape[2:] != lab.shape:
         raise ValueError("phantom volume %r does not match labels %r"
                          % (vol.shape, lab.shape))
-    if _is_identity(params):
-        return Phantom(vol.copy(), lab.copy())
-
-    if params.rotation_deg == 0.0 and params.scale == 1.0 and params.elastic_alpha == 0.0:
-        # flips are index permutations: keep them exact instead of resampling
-        v, l = vol, lab
-        for ax, flip in enumerate(params.flips):
-            if flip:
-                v = np.flip(v, axis=2 + ax)
-                l = np.flip(l, axis=ax)
-        v = np.ascontiguousarray(v)
-        l = np.ascontiguousarray(l)
-        if params.intensity != 1.0:
-            v = np.clip(v * v.dtype.type(params.intensity), 0, 1)
-        return Phantom(v, l)
-
     dims = lab.shape
     grids = np.meshgrid(*(np.arange(n, dtype=np.float64) for n in dims), indexing="ij")
     p = [g.copy() for g in grids]

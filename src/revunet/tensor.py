@@ -59,7 +59,8 @@ def channel_split(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if c % 2 != 0:
         raise ShapeError(f"channel_split needs an even channel count, got {c}")
     half = c // 2
-    # Copies, not views: downstream code relies on distinct array identity.
+    # Copies, not views: a saved half-view (such as store-all F.expand's x2)
+    # would pin the whole input while the ledger counts only half of it.
     return t[:, :half].copy(), t[:, half:].copy()
 
 

@@ -146,13 +146,13 @@ def train(config, data, *, seed, holdout=(), epochs=None, steps=None,
     opt = Adam(model)
     records = []
 
-    def emit(rec):
-        records.append(rec)
+    def emit_eval(epoch, step):
+        per_class = evaluate(model, holdout)
+        records.append({"schema_version": 1, "kind": "eval", "epoch": epoch, "step": step,
+                        "dice": per_class, "mean_dice": sum(per_class) / len(per_class)})
 
     if holdout:
-        per_class = evaluate(model, holdout)
-        emit({"schema_version": 1, "kind": "eval", "epoch": 0, "step": 0,
-              "dice": per_class, "mean_dice": sum(per_class) / len(per_class)})
+        emit_eval(0, 0)
 
     step = 0
     epoch = 0
@@ -176,24 +176,20 @@ def train(config, data, *, seed, holdout=(), epochs=None, steps=None,
             model.backward(dlogits, tape)
             opt.step(lr)
             step += 1
-            emit({"schema_version": 1, "kind": "step", "epoch": epoch, "step": step,
-                  "loss": loss, "lr": lr, "peak_ledger_bytes": int(ledger.peak_bytes)})
+            records.append({"schema_version": 1, "kind": "step", "epoch": epoch, "step": step,
+                            "loss": loss, "lr": lr, "peak_ledger_bytes": int(ledger.peak_bytes)})
             if steps is not None and step >= steps:
                 done = True
                 break
         if holdout and not done:
-            per_class = evaluate(model, holdout)
-            emit({"schema_version": 1, "kind": "eval", "epoch": epoch, "step": step,
-                  "dice": per_class, "mean_dice": sum(per_class) / len(per_class)})
+            emit_eval(epoch, step)
         epoch += 1
 
-    if holdout and (not records or records[-1]["kind"] != "eval"):
-        per_class = evaluate(model, holdout)
-        emit({"schema_version": 1, "kind": "eval", "epoch": max(epoch - 1, 0), "step": step,
-              "dice": per_class, "mean_dice": sum(per_class) / len(per_class)})
+    if holdout and records[-1]["kind"] != "eval":
+        emit_eval(max(epoch - 1, 0), step)
     # wall-clock timing deliberately stays out of the metrics log so that
     # identical runs produce byte-identical files
-    emit({"schema_version": 1, "kind": "summary", "steps": step, "epochs": epoch})
+    records.append({"schema_version": 1, "kind": "summary", "steps": step, "epochs": epoch})
 
     if metrics_path is not None:
         with open(metrics_path, "w") as f:

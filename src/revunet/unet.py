@@ -22,11 +22,10 @@ import os
 import numpy as np
 
 from .blocks import make_block, standard_block
-from .engine import Conv, MaxPool2, Node, ParamVersion, RevBlock, Upsample2, walk
+from .engine import Conv, EngineError, MaxPool2, Node, RevBlock, Upsample2, walk
 from .rng import rng_for
-from .tensor import ShapeError, check_tensor5, ew_add, precision_of, tensor_read, tensor_write
-
-_NP_DTYPE = {"single": np.float32, "double": np.float64}
+from .tensor import (DTYPES, ShapeError, check_tensor5, ew_add, precision_of, tensor_read,
+                     tensor_write)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -143,7 +142,7 @@ class Level(Node):
 
     op = "level"
 
-    def __init__(self, i, config, dtype, strategy, version, down=None):
+    def __init__(self, i, config, dtype, strategy, down=None):
         super().__init__("level%d" % i)
         c = config.widths[i]
         prev = config.in_ch if i == 0 else config.widths[i - 1]
@@ -152,7 +151,7 @@ class Level(Node):
             "enc%d.rev" % i,
             make_block(config.block_kind, "enc%d.rev.f" % i, c // 2, config.expand_ratio, dtype),
             make_block(config.block_kind, "enc%d.rev.g" % i, c // 2, config.expand_ratio, dtype),
-            strategy=strategy, version=version)
+            strategy=strategy)
         self.down = down
         self.pool = self.up = self.reduce = self.block = None
         if down is not None:
@@ -193,32 +192,28 @@ class Level(Node):
 class Model:
     def __init__(self, config, precision="double", strategy="reversible"):
         config.validate()
-        if precision not in _NP_DTYPE:
+        if precision not in DTYPES:
             raise ValueError("precision must be 'single' or 'double'")
         self.config = config
         self.precision = precision
-        self.version = ParamVersion()
-        dtype = _NP_DTYPE[precision]
+        self.param_version = 0
+        dtype = self.dtype
         # built bottom-up so each level holds the one below it
         self.top = None
         for i in reversed(range(config.levels)):
-            self.top = Level(i, config, dtype, strategy, self.version, self.top)
+            self.top = Level(i, config, dtype, strategy, self.top)
         self.head = Conv("head", config.widths[0], config.num_classes, 1, dtype, bias=True)
 
     @property
     def dtype(self):
-        return _NP_DTYPE[self.precision]
+        return DTYPES[self.precision].type
 
     def set_strategy(self, strategy):
         for level in self.top.levels():
             level.rev.strategy = strategy
 
-    @property
-    def param_version(self):
-        return self.version.value
-
     def bump_version(self):
-        self.version.value += 1
+        self.param_version += 1
 
     def leaves(self):
         yield from walk(self.top)
@@ -256,9 +251,16 @@ class Model:
 
     def forward(self, x, tape=None):
         self._check_input(x)
+        if tape is not None:
+            tape.version = self.param_version
         return self.head.forward(self.top.forward(x, tape), tape)
 
     def backward(self, dlogits, tape):
+        """Backpropagate through the forward that filled `tape`. Raises EngineError,
+        under either strategy, if the parameters changed since that forward."""
+        if tape.version != self.param_version:
+            raise EngineError("parameters changed between forward and backward; "
+                              "the saved contexts belong to the old parameters")
         return self.top.backward(self.head.backward(dlogits, tape), tape)
 
     def save(self, path):

@@ -25,6 +25,9 @@ FD_STEP = 1e-5
 FD_FLOOR = 1e-3
 # largest share of finite-difference probes that may straddle a kink
 KINK_SHARE = 0.1
+# gradcheck_report: models inverted per report, parameters probed in fd.network
+ROUNDTRIP_SEEDS = 5
+NETWORK_SAMPLES = 60
 
 
 def _entry(name, err, tol):
@@ -228,13 +231,12 @@ def fd_primitive_suite(seed, tol=1e-6, coords_per_op=120):
     return checks
 
 
-def fd_network_suite(seed, config=TOY2, samples=220, tol=1e-5):
-    """Central differences over randomly sampled parameters of a toy model."""
-    config = resolve_config(config)
-    model = build(config, seed, "double")
+def fd_network_suite(seed, samples=220, tol=1e-5):
+    """Central differences over randomly sampled parameters of TOY2."""
+    model = build(TOY2, seed, "double")
     gen = rng_for(seed, "fd-net")
-    x = gen.standard_normal((1, config.in_ch) + tuple(config.image_size))
-    probe = gen.standard_normal((1, config.num_classes) + tuple(config.image_size))
+    x = gen.standard_normal((1, TOY2.in_ch) + TOY2.image_size)
+    probe = gen.standard_normal((1, TOY2.num_classes) + TOY2.image_size)
 
     tape = Tape(None)
     model.forward(x, tape)
@@ -250,15 +252,12 @@ def fd_network_suite(seed, config=TOY2, samples=220, tol=1e-5):
     return _fd_check("fd.network", scalar, arrays, analytic, tol, gen, samples)
 
 
-def strategy_equivalence_suite(seed, config=TOY2, precision="double", tol=1e-10):
-    """Store-all vs reversible: identical forwards, matching gradients."""
-    config = resolve_config(config)
-    model = build(config, seed, precision)
+def strategy_equivalence_suite(seed, tol=1e-10):
+    """Store-all vs reversible on TOY2 (double): identical forwards, matching gradients."""
+    model = build(TOY2, seed, "double")
     gen = rng_for(seed, "equiv")
-    x = gen.standard_normal((1, config.in_ch) + tuple(config.image_size),
-                            dtype=model.dtype)
-    dlogits = gen.standard_normal((1, config.num_classes) + tuple(config.image_size),
-                                  dtype=model.dtype)
+    x = gen.standard_normal((1, TOY2.in_ch) + TOY2.image_size)
+    dlogits = gen.standard_normal((1, TOY2.num_classes) + TOY2.image_size)
 
     def run(strategy):
         model.set_strategy(strategy)
@@ -314,17 +313,16 @@ def corrupted_vjp(op_name):
         setattr(ops, attr, original)
 
 
-def gradcheck_report(config_spec, seed, corrupt=None, roundtrip_seeds=5,
-                     network_samples=60):
+def gradcheck_report(config_spec, seed, corrupt=None):
     """Round-trip + oracle + finite-difference suites on a toy instance."""
     name = config_spec if isinstance(config_spec, str) else "custom"
     toy = TOY_ANALOG.get(name, config_spec)
     ctx = corrupted_vjp(corrupt) if corrupt else contextlib.nullcontext()
     with ctx:
-        checks = [roundtrip_suite(toy, seeds=[seed + k for k in range(roundtrip_seeds)])]
+        checks = [roundtrip_suite(toy, seeds=[seed + k for k in range(ROUNDTRIP_SEEDS)])]
         checks.extend(oracle_suite(seed))
         checks.extend(fd_primitive_suite(seed))
-        checks.append(fd_network_suite(seed, samples=network_samples))
+        checks.append(fd_network_suite(seed, samples=NETWORK_SAMPLES))
         checks.extend(strategy_equivalence_suite(seed))
     worst = max(checks, key=lambda c: c["max_err"] / max(c["tol"], 1e-30))
     return {

@@ -70,15 +70,20 @@ class TestMakePhantom:
             make_phantom(0, (16, 16))
 
 
+# a cube and an odd-sized box whose axes all differ
+SIZES = (16, (17, 16, 21))
+
+
 class TestAugment:
     def test_identity_is_bitwise_noop_on_fresh_arrays(self):
-        ph = make_phantom(1, 16)
-        out = augment(ph, identity_params())
-        assert np.array_equal(out.volume, ph.volume)
-        assert np.array_equal(out.labels, ph.labels)
-        assert out.volume is not ph.volume and out.labels is not ph.labels
-        out.labels[...] = 0
-        assert ph.labels.max() == 3  # original untouched
+        for size in SIZES:
+            ph = make_phantom(1, size)
+            out = augment(ph, identity_params())
+            assert np.array_equal(out.volume, ph.volume)
+            assert np.array_equal(out.labels, ph.labels)
+            assert out.volume is not ph.volume and out.labels is not ph.labels
+            out.labels[...] = 0
+            assert ph.labels.max() == 3  # original untouched
 
     def test_flips_are_involutions(self):
         ph = make_phantom(2, 16)
@@ -88,18 +93,20 @@ class TestAugment:
         assert np.array_equal(twice.labels, ph.labels)
 
     def test_flip_path_matches_numpy_flip(self):
-        ph = make_phantom(3, 16)
-        out = augment(ph, AugmentParams(flips=(True, True, False)))
-        assert np.array_equal(out.volume, np.flip(ph.volume, axis=(2, 3)))
-        assert np.array_equal(out.labels, np.flip(ph.labels, axis=(0, 1)))
+        for size in SIZES:
+            ph = make_phantom(3, size)
+            out = augment(ph, AugmentParams(flips=(True, True, False)))
+            assert np.array_equal(out.volume, np.flip(ph.volume, axis=(2, 3)))
+            assert np.array_equal(out.labels, np.flip(ph.labels, axis=(0, 1)))
 
     def test_intensity_scales_and_clips(self):
-        ph = make_phantom(4, 16)
-        out = augment(ph, AugmentParams(intensity=1.1))
-        expect = np.clip(ph.volume * np.float32(1.1), 0, 1)
-        assert np.array_equal(out.volume, expect)
-        assert np.array_equal(out.labels, ph.labels)
-        assert out.volume.max() <= 1.0
+        for size in SIZES:
+            ph = make_phantom(4, size)
+            out = augment(ph, AugmentParams(intensity=1.1))
+            expect = np.clip(ph.volume * np.float32(1.1), 0, 1)
+            assert np.array_equal(out.volume, expect)
+            assert np.array_equal(out.labels, ph.labels)
+            assert out.volume.max() <= 1.0
 
     def test_quarter_turn_matches_rot90(self):
         # 90 degrees maps the even cubic lattice onto itself exactly, so the

@@ -98,13 +98,13 @@ def cmd_train(args):
     if (args.steps is None) == (args.epochs is None):
         raise ValueError("give exactly one of --steps or --epochs")
     pairs, _ = phantoms.read_corpus(args.data)
-    if args.holdout >= len(pairs):
-        raise ValueError("holdout %d leaves no training data (corpus has %d)"
+    if not 0 <= args.holdout < len(pairs):
+        raise ValueError("holdout %d must be in [0, %d), the corpus size"
                          % (args.holdout, len(pairs)))
     split = len(pairs) - args.holdout
     train_pairs, holdout_pairs = pairs[:split], pairs[split:]
     config = resolve_config(args.config)
-    schedule = LrSchedule(base_lr=args.base_lr) if args.base_lr else None
+    schedule = LrSchedule(base_lr=args.base_lr) if args.base_lr is not None else None
     os.makedirs(args.out, exist_ok=True)
     started = time.time()
     model, records = train(
@@ -175,9 +175,13 @@ def cmd_segment(args):
 def cmd_ensemble_select(args):
     with open(args.stats) as f:
         stats = json.load(f)
+    if not isinstance(stats, dict):
+        raise ValueError("stats file must hold a JSON object")
     models = stats["models"]
     dice = np.array([m["train_dice"] for m in models], dtype=np.float64)
     hists = np.array(stats["train_histograms"], dtype=np.float64)
+    if hists.ndim != 2:
+        raise ValueError("train_histograms must be a list of equal-length histograms")
     volume = tensor_read(args.volume)
     scores = phantoms.ensemble_scores(dice, hists, volume,
                                       reading=args.reading, bins=hists.shape[1])

@@ -10,18 +10,18 @@ Every node saves a fixed, documented context for its backward pass:
   relu          input
   maxpool       idx (argmax indices, one per output voxel)
   upsample      nothing (linear; VJP is the transpose)
-  rev block     nothing in store-all mode beyond what its
+  rev block     nothing under store-all beyond what its
                 sub-blocks save; only its output ("out")
-                in reversible mode
+                under reversible
   level         nothing (its children save their own)
   add/split/..  nothing
   ============  =========================================
 
-The MemoryLedger counts exactly the arrays registered under these rules,
-deduplicated by array identity. Parameters are never counted. Scratch
-contexts materialized during the reversible backward (to re-run F and G)
-are deliberately unregistered: they exist one block at a time and are
-what the reversible strategy trades compute for.
+The MemoryLedger counts exactly the arrays registered under these rules.
+Parameters are never counted. Scratch contexts materialized during the
+reversible backward (to re-run F and G) are deliberately unregistered:
+they exist one block at a time and are what the reversible strategy
+trades compute for.
 """
 
 import numpy as np
@@ -41,33 +41,25 @@ class MemoryLedger:
 
     def __init__(self):
         self.entries = {}      # (node, reason) -> {"op", "elements", "bytes"}, registration order
-        self._ids = set()
         self.retained_elements = 0
         self.retained_bytes = 0
         self.peak_elements = 0
         self.peak_bytes = 0
 
     def register(self, node, reason, op, arr):
-        if id(arr) in self._ids:
-            return  # identity dedup: each stored tensor is counted once
         key = (node, reason)
         if key in self.entries:
             raise EngineError("duplicate ledger entry %s/%s" % key)
-        self._ids.add(id(arr))
-        # the array reference keeps id() valid for the dedup set
-        self.entries[key] = {"op": op, "elements": int(arr.size),
-                             "bytes": int(arr.nbytes), "array": arr}
+        self.entries[key] = {"op": op, "elements": int(arr.size), "bytes": int(arr.nbytes)}
         self.retained_elements += arr.size
         self.retained_bytes += arr.nbytes
         self.peak_elements = max(self.peak_elements, self.retained_elements)
         self.peak_bytes = max(self.peak_bytes, self.retained_bytes)
 
     def release(self, node, reason):
-        key = (node, reason)
-        entry = self.entries.pop(key, None)
+        entry = self.entries.pop((node, reason), None)
         if entry is None:
             return
-        self._ids.discard(id(entry["array"]))
         self.retained_elements -= entry["elements"]
         self.retained_bytes -= entry["bytes"]
 
@@ -94,12 +86,15 @@ class MemoryLedger:
 
 
 class Tape:
-    """Per-execution store of saved contexts, in topological order."""
+    """Per-execution store of saved contexts (in topological order), their
+    ledger, and the parameter version and strategy of the model forward that
+    filled it. Nodes hold no strategy: RevBlock reads it from the tape."""
 
     def __init__(self, ledger=None):
         self.ctx = {}
         self.ledger = ledger
-        self.version = None    # parameter version of the model forward that filled it
+        self.version = None
+        self.strategy = "reversible"
 
     def save(self, name, reason, op, arr):
         self.ctx[(name, reason)] = arr
@@ -278,32 +273,29 @@ class Sequential(Node):
 class RevBlock(Node):
     """Additive-coupling reversible block: y1 = x1 + F(x2), y2 = x2 + G(y1).
 
-    In store-all mode F and G save their contexts on the main tape. In
-    reversible mode they save nothing; backward reconstructs x2 = y2 - G(y1)
-    from the stored output and re-runs G then F exactly once each on
-    unregistered scratch tapes.
+    The tape's strategy decides what is kept. Under store-all F and G save
+    their contexts on the tape. Under reversible they save nothing; backward
+    reconstructs x2 = y2 - G(y1) from the stored output and re-runs G then F
+    exactly once each on one unregistered scratch tape.
     """
 
     op = "rev"
 
-    def __init__(self, name, f, g, strategy="reversible"):
+    def __init__(self, name, f, g):
         super().__init__(name)
-        if strategy not in STRATEGIES:
-            raise ValueError("unknown strategy %r" % (strategy,))
         self.f = f
         self.g = g
-        self.strategy = strategy
 
     def children(self):
         return [self.f, self.g]
 
     def forward(self, x, tape):
         x1, x2 = channel_split(x)
-        inner = tape if self.strategy == "store-all" else None
+        inner = tape if tape is not None and tape.strategy == "store-all" else None
         y1 = ew_add(x1, self.f.forward(x2, inner))
         y2 = ew_add(x2, self.g.forward(y1, inner))
         y = channel_concat(y1, y2)
-        if tape is not None and self.strategy == "reversible":
+        if tape is not None and inner is None:
             tape.save(self.name, "out", self.op, y)
         return y
 
@@ -315,18 +307,17 @@ class RevBlock(Node):
 
     def backward(self, dy, tape):
         dy1, dy2 = channel_split(dy)
-        if self.strategy == "store-all":
+        if tape.strategy == "store-all":
             dy1_total = ew_add(dy1, self.g.backward(dy2, tape))
             dx2 = ew_add(dy2, self.f.backward(dy1_total, tape))
         else:
-            y = tape.take(self.name, "out")
-            y1, y2 = channel_split(y)
-            scratch_g = Tape(ledger=None)
-            x2 = ew_sub(y2, self.g.forward(y1, scratch_g))
-            dy1_total = ew_add(dy1, self.g.backward(dy2, scratch_g))
-            scratch_f = Tape(ledger=None)
-            self.f.forward(x2, scratch_f)
-            dx2 = ew_add(dy2, self.f.backward(dy1_total, scratch_f))
+            y1, y2 = channel_split(tape.take(self.name, "out"))
+            # one tape suffices: G's backward takes back all G saved before F saves
+            scratch = Tape()
+            x2 = ew_sub(y2, self.g.forward(y1, scratch))
+            dy1_total = ew_add(dy1, self.g.backward(dy2, scratch))
+            self.f.forward(x2, scratch)
+            dx2 = ew_add(dy2, self.f.backward(dy1_total, scratch))
         return channel_concat(dy1_total, dx2)
 
 

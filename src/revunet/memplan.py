@@ -334,12 +334,12 @@ def parse_budget(text):
     for suffix, mult in sorted(_SUFFIXES.items(), key=lambda kv: -len(kv[0])):
         if s.endswith(suffix):
             try:
-                value = float(s[:-len(suffix)])
+                value = float(s[:-len(suffix)]) * mult
             except ValueError:
                 raise ValueError("bad budget value %r" % (text,))
-            if value <= 0:
-                raise ValueError("budget must be positive")
-            return int(value * mult)
+            if not 0 < value < float("inf"):
+                raise ValueError("budget must be positive and finite")
+            return int(value)
     try:
         value = int(s)
     except ValueError:

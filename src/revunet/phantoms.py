@@ -61,32 +61,15 @@ class AugmentParams:
     elastic_alpha: float = 0.0
     elastic_sigma: float = DEFAULT_ELASTIC_SIGMA
 
-    def to_dict(self):
-        return {"rotation_deg": self.rotation_deg, "scale": self.scale,
-                "flips": list(self.flips), "intensity": self.intensity,
-                "elastic_alpha": self.elastic_alpha, "elastic_sigma": self.elastic_sigma}
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(rotation_deg=d["rotation_deg"], scale=d["scale"],
-                   flips=tuple(bool(f) for f in d["flips"]), intensity=d["intensity"],
-                   elastic_alpha=d["elastic_alpha"], elastic_sigma=d["elastic_sigma"])
-
-
-def identity_params():
-    return AugmentParams()
-
-
-def sample_augment_params(gen, elastic_alpha=DEFAULT_ELASTIC_ALPHA,
-                          elastic_sigma=DEFAULT_ELASTIC_SIGMA):
+def sample_augment_params(gen):
     """Draw one augmentation parameter set, every value inside its bound."""
     return AugmentParams(
         rotation_deg=float(gen.uniform(-ROTATION_LIMIT_DEG, ROTATION_LIMIT_DEG)),
         scale=float(gen.uniform(1.0 - SCALE_LIMIT, 1.0 + SCALE_LIMIT)),
         flips=tuple(bool(gen.integers(2)) for _ in range(3)),
         intensity=float(gen.uniform(1.0 - INTENSITY_LIMIT, 1.0 + INTENSITY_LIMIT)),
-        elastic_alpha=elastic_alpha,
-        elastic_sigma=elastic_sigma,
+        elastic_alpha=DEFAULT_ELASTIC_ALPHA,
     )
 
 

@@ -138,7 +138,11 @@ def train(config, data, *, seed, holdout=(), epochs=None, steps=None,
         raise ValueError("no training data")
     if epochs is None and steps is None:
         raise ValueError("give epochs and/or steps")
+    if (steps is not None and steps < 1) or (epochs is not None and epochs < 0):
+        raise ValueError("need steps >= 1 and epochs >= 0, got %r and %r" % (steps, epochs))
     schedule = schedule or LrSchedule()
+    if not 0 < schedule.base_lr < np.inf:
+        raise ValueError("base_lr must be positive and finite, got %r" % (schedule.base_lr,))
     if epochs is not None and epochs > schedule.total_epochs:
         raise ValueError("epochs %d exceed the schedule's total %d"
                          % (epochs, schedule.total_epochs))

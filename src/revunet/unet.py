@@ -22,7 +22,7 @@ import os
 import numpy as np
 
 from .blocks import make_block, standard_block
-from .engine import Conv, EngineError, MaxPool2, Node, RevBlock, Upsample2, walk
+from .engine import STRATEGIES, Conv, EngineError, MaxPool2, Node, RevBlock, Upsample2, walk
 from .rng import rng_for
 from .tensor import (DTYPES, ShapeError, check_tensor5, ew_add, precision_of, tensor_read,
                      tensor_write)
@@ -142,7 +142,7 @@ class Level(Node):
 
     op = "level"
 
-    def __init__(self, i, config, dtype, strategy, down=None):
+    def __init__(self, i, config, dtype, down=None):
         super().__init__("level%d" % i)
         c = config.widths[i]
         prev = config.in_ch if i == 0 else config.widths[i - 1]
@@ -150,8 +150,7 @@ class Level(Node):
         self.rev = RevBlock(
             "enc%d.rev" % i,
             make_block(config.block_kind, "enc%d.rev.f" % i, c // 2, config.expand_ratio, dtype),
-            make_block(config.block_kind, "enc%d.rev.g" % i, c // 2, config.expand_ratio, dtype),
-            strategy=strategy)
+            make_block(config.block_kind, "enc%d.rev.g" % i, c // 2, config.expand_ratio, dtype))
         self.down = down
         self.pool = self.up = self.reduce = self.block = None
         if down is not None:
@@ -194,23 +193,22 @@ class Model:
         config.validate()
         if precision not in DTYPES:
             raise ValueError("precision must be 'single' or 'double'")
+        if strategy not in STRATEGIES:
+            raise ValueError("unknown strategy %r" % (strategy,))
         self.config = config
         self.precision = precision
+        self.strategy = strategy
         self.param_version = 0
         dtype = self.dtype
         # built bottom-up so each level holds the one below it
         self.top = None
         for i in reversed(range(config.levels)):
-            self.top = Level(i, config, dtype, strategy, self.top)
+            self.top = Level(i, config, dtype, self.top)
         self.head = Conv("head", config.widths[0], config.num_classes, 1, dtype, bias=True)
 
     @property
     def dtype(self):
         return DTYPES[self.precision].type
-
-    def set_strategy(self, strategy):
-        for level in self.top.levels():
-            level.rev.strategy = strategy
 
     def bump_version(self):
         self.param_version += 1
@@ -253,6 +251,7 @@ class Model:
         self._check_input(x)
         if tape is not None:
             tape.version = self.param_version
+            tape.strategy = self.strategy
         return self.head.forward(self.top.forward(x, tape), tape)
 
     def backward(self, dlogits, tape):

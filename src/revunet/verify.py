@@ -260,7 +260,7 @@ def strategy_equivalence_suite(seed, tol=1e-10):
     dlogits = gen.standard_normal((1, TOY2.num_classes) + TOY2.image_size)
 
     def run(strategy):
-        model.set_strategy(strategy)
+        model.strategy = strategy
         tape = Tape(None)
         logits = model.forward(x, tape)
         model.zero_grads()

@@ -21,7 +21,6 @@ from revunet.phantoms import (
     chi2_distance,
     ensemble_select,
     histogram,
-    identity_params,
     make_phantom,
     sample_augment_params,
 )
@@ -161,7 +160,7 @@ def test_criterion_08_training_smoke_reaches_dice_and_reproduces():
 
 def test_criterion_09_augmentation_invariants_and_sampler_bounds():
     ph = make_phantom(0, 16)
-    out = augment(ph, identity_params())
+    out = augment(ph, AugmentParams())
     assert np.array_equal(out.volume, ph.volume)
     assert np.array_equal(out.labels, ph.labels)
     flip = AugmentParams(flips=(True, True, False))

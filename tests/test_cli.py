@@ -109,8 +109,9 @@ class TestMemplan:
         assert report["family"]["volume_multiplier_max"] >= 3.0
         assert report["budget_14gb"]["activations_plus_params_fit"] is True
 
-    def test_bad_budget(self, capsys):
-        code, _, _ = run(capsys, ["memplan", "--budget", "14XB", "--axis", "volume"])
+    @pytest.mark.parametrize("budget", ["14XB", "infGB"])
+    def test_bad_budget(self, capsys, budget):
+        code, _, _ = run(capsys, ["memplan", "--budget", budget, "--axis", "volume"])
         assert code == 2
 
     def test_budget_without_axis(self, capsys):
@@ -215,6 +216,19 @@ class TestTrainAndSegment:
         assert code == 2
         assert "holdout" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--steps", "0"], ["--steps", "-3"], ["--epochs", "-1"],
+        ["--steps", "1", "--holdout", "-1"], ["--steps", "1", "--base-lr", "0"],
+        ["--steps", "1", "--base-lr", "-0.01"], ["--steps", "1", "--base-lr", "nan"],
+    ], ids=["steps-0", "steps-neg", "epochs-neg", "holdout-neg", "lr-0", "lr-neg", "lr-nan"])
+    def test_bad_count_or_rate_is_usage_error(self, capsys, corpus, tmp_path, argv):
+        corpus_dir, _ = corpus
+        code, out, _ = run(capsys, ["train", "--data", corpus_dir, "--out", str(tmp_path / "o"),
+                                    "--seed", "0"] + argv)
+        assert code == 2
+        assert out == ""
+        assert not os.path.exists(tmp_path / "o" / "metrics.jsonl")  # refused before training
+
     def test_missing_model_is_usage_error(self, capsys, tmp_path):
         vol = str(tmp_path / "v.rvt")
         tensor_write(np.zeros((1, 4, 16, 16, 16), dtype=np.float32), vol)
@@ -312,6 +326,19 @@ class TestEnsembleSelect:
                                       "--volume", vol_path])
         assert code == 2
         assert "NaN or Inf" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("doc", [
+        {"models": [{"name": "good", "train_dice": []}], "train_histograms": []},
+        [{"name": "good", "train_dice": [0.9]}],
+    ], ids=["no-histograms", "top-level-list"])
+    def test_bad_stats_layout_is_usage_error(self, capsys, tmp_path, doc):
+        _, vol_path = self._write_inputs(tmp_path)
+        stats_path = tmp_path / "bad.json"
+        stats_path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, ["ensemble-select", "--stats", str(stats_path),
+                                    "--volume", vol_path])
+        assert code == 2
         assert out == ""
 
     def test_missing_stats(self, capsys, tmp_path):

@@ -62,13 +62,14 @@ class TestMemoryLedger:
         assert led.retained_elements == b.size
         assert led.peak_elements == a.size + b.size  # peak survives release
 
-    def test_identity_dedup_is_silent(self):
+    def test_same_array_under_two_keys_counts_twice(self):
+        # the estimate lists one row per (node, reason), so the ledger does too
         led = MemoryLedger()
         a = np.zeros(10)
         led.register("n1", "input", "op", a)
-        led.register("n2", "input", "op", a)  # same array object: no recount
-        assert led.retained_elements == 10
-        assert len(led.entries) == 1
+        led.register("n2", "input", "op", a)
+        assert led.retained_elements == 20
+        assert led.element_map() == {("n1", "input"): 10, ("n2", "input"): 10}
 
     def test_duplicate_key_is_hard_error(self):
         led = MemoryLedger()
@@ -119,7 +120,7 @@ class TestTape:
 
 class TestRevBlock:
     def test_zero_coupling_identity(self):
-        blk = RevBlock("blk", _Zero("f"), _Zero("g"), strategy="reversible")
+        blk = RevBlock("blk", _Zero("f"), _Zero("g"))
         x = _x((1, 4, 3, 3, 3))
         tape = Tape(None)
         y = blk.forward(x, tape)
@@ -129,7 +130,7 @@ class TestRevBlock:
         assert np.array_equal(blk.backward(dy, tape), dy)
 
     def test_identity_coupling_hand_values(self):
-        blk = RevBlock("blk", _Identity("f"), _Identity("g"), strategy="reversible")
+        blk = RevBlock("blk", _Identity("f"), _Identity("g"))
         x = np.concatenate([np.full((1, 1, 1, 1, 1), 1.0),
                             np.full((1, 1, 1, 1, 1), 2.0)], axis=1)
         tape = Tape(None)
@@ -153,13 +154,13 @@ class TestRevBlock:
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
-            RevBlock("blk", _Zero("f"), _Zero("g"), strategy="magic")
+            build(verify.TOY2, seed=0, strategy="magic")
 
-    def _mbconv_rev(self, strategy):
+    def _mbconv_rev(self):
         dtype = np.float64
         f = make_block("mbconv", "blk.f", 4, 2, dtype)
         g = make_block("mbconv", "blk.g", 4, 2, dtype)
-        blk = RevBlock("blk", f, g, strategy=strategy)
+        blk = RevBlock("blk", f, g)
         gen = rng_for(0, "mb-init")
         for half in (f, g):
             for leaf in walk(half):
@@ -170,15 +171,16 @@ class TestRevBlock:
         x = _x((1, 8, 4, 4, 4))
 
         led_rev = MemoryLedger()
-        blk = self._mbconv_rev("reversible")
+        blk = self._mbconv_rev()
         y = blk.forward(x, Tape(led_rev))
         # only the block output is retained; nothing from inside F or G
         assert set(led_rev.element_map()) == {("blk", "out")}
         assert led_rev.retained_elements == y.size
 
         led_all = MemoryLedger()
-        blk.strategy = "store-all"
-        blk.forward(x, Tape(led_all))
+        tape = Tape(led_all)
+        tape.strategy = "store-all"
+        blk.forward(x, tape)
         keys = set(led_all.element_map())
         assert ("blk", "out") not in keys
         assert ("blk.f.expand", "input") in keys
@@ -187,7 +189,7 @@ class TestRevBlock:
         assert led_all.retained_elements > led_rev.retained_elements
 
     def test_roundtrip_with_random_mbconv(self):
-        blk = self._mbconv_rev("reversible")
+        blk = self._mbconv_rev()
         x = _x((1, 8, 4, 4, 4))
         y = blk.forward(x, None)
         assert np.abs(blk.inverse(y) - x).max() <= 1e-12
@@ -274,6 +276,27 @@ class TestGradients:
     def test_strategy_equivalence(self):
         for check in verify.strategy_equivalence_suite(0):
             assert check["pass"], check
+
+    @pytest.mark.parametrize("fwd,bwd", [("reversible", "store-all"),
+                                         ("store-all", "reversible")])
+    def test_strategy_switch_between_forward_and_backward(self, fwd, bwd):
+        # backward follows the strategy the tape was filled under
+        x, dlogits = _x((1, 4, 8, 8, 8), seed=4), _x((1, 4, 8, 8, 8), seed=5)
+
+        def run(switch):
+            model = build(verify.TOY2, seed=3, precision="double", strategy=fwd)
+            led = MemoryLedger()
+            tape = Tape(led)
+            model.forward(x, tape)
+            assert tape.strategy == fwd
+            if switch:
+                model.strategy = bwd
+            model.zero_grads()
+            dx = model.backward(dlogits, tape)
+            assert led.retained_elements == 0
+            return [dx] + [leaf.grads[attr] for _, leaf, attr, _ in model.parameters()]
+
+        assert all(np.array_equal(a, b) for a, b in zip(run(False), run(True)))
 
     def test_rerun_bitwise_identical_gradients(self):
         def run():

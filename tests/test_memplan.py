@@ -196,6 +196,6 @@ class TestParseBudget:
         assert parse_budget(" 7 MB ".strip()) == 7_000_000
 
     def test_bad_inputs(self):
-        for bad in ("14XB", "-5GB", "0", "GB", "1.5", ""):
+        for bad in ("14XB", "-5GB", "0", "GB", "1.5", "", "infGB", "nanGB", "1e300TB"):
             with pytest.raises(ValueError):
                 parse_budget(bad)

@@ -1,6 +1,5 @@
 """Phantom generation, augmentation semantics, histograms, ensemble selection."""
 
-import json
 import os
 
 import numpy as np
@@ -18,7 +17,6 @@ from revunet.phantoms import (
     ensemble_scores,
     ensemble_select,
     histogram,
-    identity_params,
     make_phantom,
     read_corpus,
     sample_augment_params,
@@ -78,7 +76,7 @@ class TestAugment:
     def test_identity_is_bitwise_noop_on_fresh_arrays(self):
         for size in SIZES:
             ph = make_phantom(1, size)
-            out = augment(ph, identity_params())
+            out = augment(ph, AugmentParams())
             assert np.array_equal(out.volume, ph.volume)
             assert np.array_equal(out.labels, ph.labels)
             assert out.volume is not ph.volume and out.labels is not ph.labels
@@ -143,7 +141,7 @@ class TestAugment:
     def test_mismatched_volume_and_labels(self):
         ph = make_phantom(6, 16)
         with pytest.raises(ValueError):
-            augment(Phantom(ph.volume, ph.labels[:-2]), identity_params())
+            augment(Phantom(ph.volume, ph.labels[:-2]), AugmentParams())
 
     def test_sampled_params_respect_bounds(self):
         for i in range(1000):
@@ -153,12 +151,6 @@ class TestAugment:
             assert 1.0 - INTENSITY_LIMIT <= p.intensity <= 1.0 + INTENSITY_LIMIT
             assert len(p.flips) == 3 and all(isinstance(f, bool) for f in p.flips)
             assert p.elastic_alpha == 6.0 and p.elastic_sigma == 8.0
-
-    def test_params_dict_roundtrip(self):
-        p = AugmentParams(rotation_deg=-12.5, scale=1.04, flips=(True, False, True),
-                          intensity=0.95, elastic_alpha=6.0, elastic_sigma=8.0)
-        assert AugmentParams.from_dict(p.to_dict()) == p
-        assert json.loads(json.dumps(p.to_dict())) == p.to_dict()
 
 
 class TestHistogram:

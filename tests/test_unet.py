@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from revunet.engine import Tape
 from revunet.rng import rng_for
 from revunet.tensor import ShapeError
 from revunet.unet import (
@@ -121,10 +122,10 @@ class TestModel:
     def test_forward_identical_across_strategies(self):
         model = build(_toy(), seed=1)
         x = rng_for(1, "x").standard_normal((1, 4, 8, 8, 8))
-        model.set_strategy("store-all")
-        a = model.forward(x, None)
-        model.set_strategy("reversible")
-        b = model.forward(x, None)
+        model.strategy = "store-all"
+        a = model.forward(x, Tape())
+        model.strategy = "reversible"
+        b = model.forward(x, Tape())
         assert np.array_equal(a, b)
 
     def test_input_validation(self):

@@ -1,0 +1,135 @@
+"""Print SHA-256 digests of what a checkout computes, as one JSON object.
+
+    python tools/digest.py ROOT > digest.json
+
+ROOT is a source checkout; its `src/` goes first on the import path. Run
+the script on two checkouts and compare the outputs byte for byte: a
+refactor that claims unchanged behaviour must leave every entry equal.
+
+The entries cover, for `build(c, 7, p, s)` with `mbconv-base-toy`,
+`baseline-toy` and `verify.TOY2` in both precisions and both strategies,
+the forward output, the input gradient, every parameter and parameter
+gradient, and `ledger.report()` after forward and after backward; the
+records and final parameters of a 4-step `training.train` under each
+strategy; the `metrics.jsonl` of holdout runs that stop on steps, on
+epochs, and on epochs with steps also given; the JSON of
+`gradcheck_report("mbconv-base", s)` for s in {0, 5, 30}; and the JSON of
+`claims_report("single")`. It drives the package only through `build`,
+`Tape(ledger)`, `parameters()`, `training.train`, `gradcheck_report`,
+`claims_report` and the model's forward and backward, which earlier
+commits share, so the same script runs on both sides of a change.
+"""
+
+import hashlib
+import json
+import os
+import sys
+import tempfile
+
+import numpy as np
+
+STRATEGIES = ("store-all", "reversible")
+PRECISIONS = ("single", "double")
+GRADCHECK_SEEDS = (0, 5, 30)
+
+
+class _Digest:
+    def __init__(self):
+        self.h = hashlib.sha256()
+
+    def array(self, label, arr):
+        arr = np.ascontiguousarray(arr)
+        self.text("%s %s %r" % (label, arr.dtype.str, arr.shape))
+        self.h.update(arr.tobytes())
+
+    def text(self, s):
+        self.h.update(s.encode() + b"\n")
+
+    def json(self, doc):
+        self.text(json.dumps(doc, sort_keys=True))
+
+    def hex(self):
+        return self.h.hexdigest()
+
+
+def _model_entry(unet, engine, config, precision, strategy):
+    d = _Digest()
+    model = unet.build(config, 7, precision, strategy)
+    cfg = unet.resolve_config(config)
+    gen = np.random.default_rng(11)
+    x = gen.standard_normal((1, cfg.in_ch) + tuple(cfg.image_size)).astype(model.dtype)
+    dlogits = gen.standard_normal((1, cfg.num_classes) + tuple(cfg.image_size)).astype(model.dtype)
+    ledger = engine.MemoryLedger()
+    tape = engine.Tape(ledger)
+    d.array("logits", model.forward(x, tape))
+    d.json(ledger.report())
+    model.zero_grads()
+    d.array("dx", model.backward(dlogits, tape))
+    d.json(ledger.report())
+    for name, leaf, attr, arr in model.parameters():
+        d.array(name, arr)
+        d.array(name + ".grad", leaf.grads[attr])
+    return d.hex()
+
+
+def _pairs(phantoms, n):
+    return [(p.volume, p.labels)
+            for p in (phantoms.make_phantom(100 + i, (16, 16, 16)) for i in range(n))]
+
+
+def _train_entry(training, phantoms, strategy):
+    d = _Digest()
+    model, records = training.train("mbconv-base-toy", _pairs(phantoms, 2), seed=3,
+                                     steps=4, strategy=strategy)
+    d.json(records)
+    for name, _, _, arr in model.parameters():
+        d.array(name, arr)
+    return d.hex()
+
+
+def _metrics_entry(training, phantoms, unet, **stop):
+    pairs = _pairs(phantoms, 3)
+    toy = unet.UNetConfig(widths=(4, 8), image_size=(16, 16, 16),
+                          block_kind="mbconv", expand_ratio=2)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "metrics.jsonl")
+        training.train(toy, pairs[:2], seed=5, holdout=pairs[2:], metrics_path=path, **stop)
+        with open(path, "rb") as f:
+            return hashlib.sha256(f.read()).hexdigest()
+
+
+def digest():
+    from revunet import engine, memplan, phantoms, training, unet, verify
+
+    out = {}
+    for config, label in (("mbconv-base-toy", "mbconv-base-toy"),
+                          ("baseline-toy", "baseline-toy"), (verify.TOY2, "TOY2")):
+        for precision in PRECISIONS:
+            for strategy in STRATEGIES:
+                out["model/%s/%s/%s" % (label, precision, strategy)] = _model_entry(
+                    unet, engine, config, precision, strategy)
+    for strategy in STRATEGIES:
+        out["train/%s" % strategy] = _train_entry(training, phantoms, strategy)
+    for label, stop in (("steps", {"steps": 3}), ("epochs", {"epochs": 2}),
+                        ("both", {"steps": 3, "epochs": 1})):
+        out["metrics/%s" % label] = _metrics_entry(training, phantoms, unet, **stop)
+    for seed in GRADCHECK_SEEDS:
+        report = verify.gradcheck_report("mbconv-base", seed)
+        out["gradcheck/%d" % seed] = hashlib.sha256(
+            json.dumps(report, sort_keys=True).encode()).hexdigest()
+    out["claims/single"] = hashlib.sha256(
+        json.dumps(memplan.claims_report("single"), sort_keys=True).encode()).hexdigest()
+    return out
+
+
+def main(argv):
+    if len(argv) != 2:
+        print("usage: python tools/digest.py ROOT", file=sys.stderr)
+        return 2
+    sys.path.insert(0, os.path.join(os.path.abspath(argv[1]), "src"))
+    print(json.dumps(digest(), indent=2, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))

@@ -185,8 +185,7 @@ def cmd_ensemble_select(args):
     volume = tensor_read(args.volume)
     scores = phantoms.ensemble_scores(dice, hists, volume,
                                       reading=args.reading, bins=hists.shape[1])
-    chosen = phantoms.ensemble_select(dice, hists, volume,
-                                      reading=args.reading, bins=hists.shape[1])
+    chosen = phantoms.select_from_scores(scores, args.reading)
     report = {
         "schema_version": 1,
         "reading": args.reading,

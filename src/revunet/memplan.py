@@ -154,31 +154,39 @@ def _feasible(config, budget_bytes, strategy, precision):
     return estimate(config, strategy, precision)["retained_bytes"] <= budget_bytes
 
 
+def _largest(feasible, k):
+    """Largest integer >= k passing a monotone test that k passes: doubling, then bisection."""
+    step = 1
+    while feasible(k + step):
+        k += step
+        step *= 2
+    hi = k + step
+    while hi - k > 1:
+        mid = (k + hi) // 2
+        if feasible(mid):
+            k = mid
+        else:
+            hi = mid
+    return k
+
+
 def _search_volume(config, budget_bytes, strategy, precision):
     g = config.grid
     base = config.image_size
     base_voxels = base[0] * base[1] * base[2]
-    base_bytes = estimate(config, strategy, precision)["retained_bytes"]
-    # bytes grow ~linearly in voxels, so this bounds the per-side multiplier
-    m_hi = (budget_bytes / base_bytes) ** (1.0 / 3.0) * 1.5 + 1.0
-    candidates = {1.0}
-    for side in base:
-        k = side // g
-        while k * g <= side * m_hi:
-            candidates.add(k * g / side)
-            k += 1
-    best = None
-    for m in sorted(candidates):
-        if m < 1.0:
-            continue
-        dims = tuple((int(m * side) // g) * g for side in base)
-        if any(x < g for x in dims):
-            continue
-        if _feasible(_with_image(config, dims), budget_bytes, strategy, precision):
-            cand = (dims[0] * dims[1] * dims[2], dims, m)
-            if best is None or cand[0] >= best[0]:
-                best = cand
-    voxels, dims, m = best
+
+    def dims_at(m):
+        return tuple((int(m * side) // g) * g for side in base)
+
+    def fits(m):
+        return _feasible(_with_image(config, dims_at(m)), budget_bytes, strategy, precision)
+
+    # the grid changes only where one side crosses a multiple of g, at
+    # m = k * g / side; take each side's largest such m that fits (sides
+    # are multiples of g, so k = side // g is m = 1), then the largest of those
+    m = max(_largest(lambda k: fits(k * g / side), side // g) * g / side for side in base)
+    dims = dims_at(m)
+    voxels = dims[0] * dims[1] * dims[2]
     return {
         "axis": "volume",
         "base_image_size": list(base),
@@ -190,13 +198,11 @@ def _search_volume(config, budget_bytes, strategy, precision):
 
 
 def _search_channels(config, budget_bytes, strategy, precision):
-    k = 1
-    while True:
-        widths = tuple(w * (k + 1) for w in config.widths)
-        wider = dataclasses.replace(config, widths=widths)
-        if not _feasible(wider, budget_bytes, strategy, precision):
-            break
-        k += 1
+    def fits(k):
+        wider = dataclasses.replace(config, widths=tuple(w * k for w in config.widths))
+        return _feasible(wider, budget_bytes, strategy, precision)
+
+    k = _largest(fits, 1)
     chosen = dataclasses.replace(config, widths=tuple(w * k for w in config.widths))
     return {
         "axis": "channels",

@@ -11,13 +11,20 @@ The k x k x k convolutions share one layout: the input is zero-padded once
 and flattened, with neighbouring rows and planes sharing their padding, so
 each tap's window over the whole (d, h + r, w + r) grid is one contiguous
 slice, and results are cropped from that grid. Forward and input gradient
-add one product per tap in offset-major (dz, dy, dx) order, so they equal
-a per-offset loop over strided windows bitwise wherever BLAS rounds a
-matmul column the same at any matrix width (elementwise depthwise products
-always). The input gradient is the same correlation over padded dy with
-mirrored taps. The weight gradient is reduced over the padded grid, whose
-extra columns are zero, so it matches such a loop only to rounding. Every
-accumulation order is fixed, so repeated runs are bitwise identical.
+walk the grid in slabs of whole planes and add all k**3 taps into one slab
+before the next, so a slab's rows stay in cache instead of k**3 passes over
+the whole grid. A slab is as many planes as fit SLAB_BYTES at the kernel's
+channel counts and itemsize, but at least MIN_SLAB voxels; a grid that fits
+is one slab, which covers every grid of at most 16^3 for k = 3. Within a
+slab each output element adds one product per tap in offset-major
+(dz, dy, dx) order, whatever the slab size, so forward and input gradient
+equal a per-offset loop over strided windows bitwise wherever the matmul
+rounds a column the same at any matrix width (slabs narrow the matrices;
+elementwise depthwise products always qualify). The input gradient is the
+same correlation over padded dy with mirrored taps. The weight gradient is
+reduced over the whole padded grid, whose extra columns are zero, so it
+matches such a loop only to rounding. Every accumulation order is fixed,
+so repeated runs are bitwise identical.
 """
 
 import numpy as np
@@ -37,33 +44,58 @@ def _check_kernel(x, w):
         raise ShapeError("kernel size must be odd, got %d" % w.shape[2])
 
 
-def _windows(a, k):
-    """The k**3 tap windows of ``a`` over the shifted grid, in (dz, dy, dx) order.
+# Bytes one slab of the tap loop may touch: its input, temporary and output
+# rows stay in a core's L2 cache while all k**3 taps are summed into it.
+SLAB_BYTES = 1 << 20
+# Fewest grid voxels per slab: numpy's ufuncs ran 2-3x slower per element
+# over slab rows shorter than about a third of their 8192-element buffer.
+MIN_SLAB = 8192
 
-    ``a`` is zero-padded once into a flat (n, c, T) array whose rows and
-    planes share their padding: the grid is (d, hp, wp) = (d, h + r, w + r).
-    Tap (dz, dy, dx) of every grid voxel is then the contiguous (n, c, L)
-    slice at offset (dz * hp + dy) * wp + dx, L = d * hp * wp. The zero tail
-    keeps the last window in bounds.
+
+def _windows(a, k):
+    """Zero-pad ``a`` once into a flat grid; -> (padded, tap offsets, L, plane).
+
+    The padded array is (n, c, T) and its rows and planes share their
+    padding: the grid is (d, hp, wp) = (d, h + r, w + r), L = d * hp * wp
+    and plane = hp * wp. Tap (dz, dy, dx) of grid voxels [s0, s1) is the
+    contiguous slice [off + s0, off + s1), off = (dz * hp + dy) * wp + dx;
+    the offsets are listed in (dz, dy, dx) order. The zero tail keeps the
+    last window in bounds.
     """
     n, c, d, h, w = a.shape
     r = k // 2
     hp, wp = h + r, w + r
-    L = d * hp * wp
-    af = np.zeros((n, c, L + 2 * r * (hp * wp + wp + 1)), dtype=a.dtype)
-    af[:, :, :(d + r) * hp * wp].reshape(n, c, d + r, hp, wp)[:, :, r:, r:, r:] = a
-    return [af[:, :, off:off + L]
-            for off in ((dz * hp + dy) * wp + dx
-                        for dz in range(k) for dy in range(k) for dx in range(k))]
+    plane = hp * wp
+    L = d * plane
+    af = np.zeros((n, c, L + 2 * r * (plane + wp + 1)), dtype=a.dtype)
+    af[:, :, :(d + r) * plane].reshape(n, c, d + r, hp, wp)[:, :, r:, r:, r:] = a
+    offsets = [(dz * hp + dy) * wp + dx for dz in range(k) for dy in range(k) for dx in range(k)]
+    return af, offsets, L, plane
 
 
-def _accumulate(windows, term):
-    """Sum ``term(i, windows[i], buf)`` over the taps in order, into one grid array."""
-    out = term(0, windows[0], None)
-    tmp = None
-    for i in range(1, len(windows)):
-        tmp = term(i, windows[i], tmp)
-        out += tmp
+def _slab(n, c_in, c_out, itemsize, plane):
+    """Grid voxels per slab: the whole planes whose rows fit SLAB_BYTES, at least MIN_SLAB."""
+    planes = max(SLAB_BYTES // (n * (c_in + 2 * c_out) * itemsize * plane), -(-MIN_SLAB // plane))
+    return planes * plane
+
+
+def _accumulate(af, offsets, L, plane, c_out, term):
+    """Sum ``term(i, window_i, buf)`` over the taps in order into an (n, c_out, L) grid.
+
+    The grid is walked in slabs of whole planes; each slab takes all taps,
+    through one slab-sized temporary, before the next starts.
+    """
+    n, c_in = af.shape[:2]
+    step = _slab(n, c_in, c_out, af.itemsize, plane)
+    out = np.empty((n, c_out, L), dtype=af.dtype)
+    tmp = np.empty((n, c_out, min(step, L)), dtype=af.dtype)
+    for s0 in range(0, L, step):
+        s1 = min(s0 + step, L)
+        acc, buf = out[:, :, s0:s1], tmp[:, :, :s1 - s0]
+        term(0, af[:, :, offsets[0] + s0:offsets[0] + s1], acc)
+        for i in range(1, len(offsets)):
+            term(i, af[:, :, offsets[i] + s0:offsets[i] + s1], buf)
+            acc += buf
     return out
 
 
@@ -81,8 +113,9 @@ def conv3d(x, w, b=None):
     co, ci_k, k = w.shape[:3]
     if ci_k != ci:
         raise ShapeError("conv3d channel mismatch: input %d, kernel %d" % (ci, ci_k))
-    wt = w.reshape(co, ci, -1)
-    out = _accumulate(_windows(x, k), lambda i, win, buf: np.matmul(wt[:, :, i], win, out=buf))
+    # taps[i] is tap i's (co, ci) weight view; the tap axis leads so each lookup is cheap
+    taps = w.reshape(co, ci, -1).transpose(2, 0, 1)
+    out = _accumulate(*_windows(x, k), co, lambda i, win, buf: np.matmul(taps[i], win, out=buf))
     if b is not None:
         out += b.reshape(1, co, 1)
     return _crop(out, x.shape[2:], k)
@@ -90,14 +123,21 @@ def conv3d(x, w, b=None):
 
 def conv3d_bwd(x, w, dy, has_bias):
     co, ci, k = w.shape[:3]
-    wt = w.reshape(co, ci, -1)
-    dyw = _windows(dy, k)
+    taps = w.reshape(co, ci, -1).transpose(2, 1, 0)
+    dyf, offsets, L, plane = _windows(dy, k)
     # the centre window is dy on the grid, zero in the columns the crop drops
-    dyg = dyw[len(dyw) // 2]
-    dw = np.stack([np.matmul(dyg, win.transpose(0, 2, 1)).sum(axis=0)
-                   for win in _windows(x, k)], axis=-1)
+    centre = offsets[len(offsets) // 2]
+    dyg = dyf[:, :, centre:centre + L]
+    xf = _windows(x, k)[0]
+    dw = np.stack([np.matmul(dyg, xf[:, :, off:off + L].transpose(0, 2, 1)).sum(axis=0)
+                   for off in offsets], axis=-1)
+    # each padded grid is freed as soon as it is done with, before the next
+    # full-grid array is allocated: this bounds the backward's peak memory
+    del xf
     # the adjoint is the same correlation over padded dy, with mirrored taps
-    dx = _accumulate(dyw[::-1], lambda i, win, buf: np.matmul(wt[:, :, i].T, win, out=buf))
+    dx = _accumulate(dyf, offsets[::-1], L, plane, ci,
+                     lambda i, win, buf: np.matmul(taps[i], win, out=buf))
+    del dyf, dyg
     db = dy.sum(axis=(0, 2, 3, 4)) if has_bias else None
     return _crop(dx, x.shape[2:], k), dw.reshape(w.shape), db
 
@@ -132,19 +172,24 @@ def depthwise_conv3d(x, w):
     if w.shape[0] != c or w.shape[1] != 1:
         raise ShapeError("depthwise kernel mismatch: input %d channels, kernel %r"
                          % (c, w.shape[:2]))
-    wt = w.reshape(c, -1, 1)
-    out = _accumulate(_windows(x, k), lambda i, win, buf: np.multiply(wt[:, i], win, out=buf))
+    taps = w.reshape(c, -1, 1).transpose(1, 0, 2)
+    out = _accumulate(*_windows(x, k), c, lambda i, win, buf: np.multiply(taps[i], win, out=buf))
     return _crop(out, x.shape[2:], k)
 
 
 def depthwise_conv3d_bwd(x, w, dy):
     c, k = x.shape[1], w.shape[2]
-    wt = w.reshape(c, -1, 1)
-    dyw = _windows(dy, k)
-    dyg = dyw[len(dyw) // 2][..., None]
-    dw = np.stack([np.matmul(win[:, :, None], dyg)[:, :, 0, 0].sum(axis=0)
-                   for win in _windows(x, k)], axis=-1)
-    dx = _accumulate(dyw[::-1], lambda i, win, buf: np.multiply(wt[:, i], win, out=buf))
+    taps = w.reshape(c, -1, 1).transpose(1, 0, 2)
+    dyf, offsets, L, plane = _windows(dy, k)
+    centre = offsets[len(offsets) // 2]
+    dyg = dyf[:, :, centre:centre + L, None]
+    xf = _windows(x, k)[0]
+    dw = np.stack([np.matmul(xf[:, :, None, off:off + L], dyg)[:, :, 0, 0].sum(axis=0)
+                   for off in offsets], axis=-1)
+    del xf
+    dx = _accumulate(dyf, offsets[::-1], L, plane, c,
+                     lambda i, win, buf: np.multiply(taps[i], win, out=buf))
+    del dyf, dyg
     return _crop(dx, x.shape[2:], k), dw.reshape(w.shape)
 
 
@@ -152,7 +197,7 @@ def group_norm(x, gamma, beta, group_size, eps=1e-5):
     """Normalize each (sample, channel group) over group channels and space.
 
     Returns (out, xhat, rstd); the backward pass needs only xhat and rstd
-    beyond the affine parameters.
+    beyond the affine parameters, which share x's dtype.
     """
     n, c = x.shape[:2]
     if eps <= 0:
@@ -160,12 +205,15 @@ def group_norm(x, gamma, beta, group_size, eps=1e-5):
     if c % group_size != 0:
         raise ShapeError("channels %d not divisible by group size %d" % (c, group_size))
     g = c // group_size
+    axes = (2, 3, 4, 5)
     xg = x.reshape((n, g, group_size) + x.shape[2:])
-    mean = xg.mean(axis=(2, 3, 4, 5), keepdims=True)
-    var = xg.var(axis=(2, 3, 4, 5), keepdims=True)
-    rstd = 1.0 / np.sqrt(var + x.dtype.type(eps))
-    xhat = ((xg - mean) * rstd).reshape(x.shape)
-    out = gamma.reshape(1, c, 1, 1, 1) * xhat + beta.reshape(1, c, 1, 1, 1)
+    # the passes np.var makes, with the centred input kept for xhat
+    d = xg - xg.mean(axis=axes, keepdims=True)
+    sq = d * d
+    rstd = 1.0 / np.sqrt(sq.mean(axis=axes, keepdims=True) + x.dtype.type(eps))
+    xhat = np.multiply(d, rstd, out=d).reshape(x.shape)
+    out = np.multiply(gamma.reshape(1, c, 1, 1, 1), xhat, out=sq.reshape(x.shape))
+    out += beta.reshape(1, c, 1, 1, 1)
     return out, xhat, rstd
 
 
@@ -173,13 +221,18 @@ def group_norm_bwd(xhat, rstd, gamma, dy, group_size):
     n, c = dy.shape[:2]
     g = c // group_size
     inner = (n, g, group_size) + dy.shape[2:]
-    dxhat = (dy * gamma.reshape(1, c, 1, 1, 1)).reshape(inner)
-    xh = xhat.reshape(inner)
-    m1 = dxhat.mean(axis=(2, 3, 4, 5), keepdims=True)
-    m2 = (dxhat * xh).mean(axis=(2, 3, 4, 5), keepdims=True)
-    dx = (rstd * (dxhat - m1 - xh * m2)).reshape(dy.shape)
+    axes = (2, 3, 4, 5)
     dgamma = (dy * xhat).sum(axis=(0, 2, 3, 4))
     dbeta = dy.sum(axis=(0, 2, 3, 4))
+    dxhat = (dy * gamma.reshape(1, c, 1, 1, 1)).reshape(inner)
+    xh = xhat.reshape(inner)
+    m1 = dxhat.mean(axis=axes, keepdims=True)
+    prod = dxhat * xh
+    m2 = prod.mean(axis=axes, keepdims=True)
+    # rstd * (dxhat - m1 - xh * m2), evaluated in the two buffers above
+    dx = np.subtract(dxhat, m1, out=dxhat)
+    dx -= np.multiply(xh, m2, out=prod)
+    dx = np.multiply(rstd, dx, out=dx).reshape(dy.shape)
     return dx, dgamma, dbeta
 
 

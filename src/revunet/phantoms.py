@@ -225,8 +225,12 @@ def ensemble_select(per_model_train_dice, train_histograms, test_volume,
     reading: argmax with similarity weights (1 - chi2). Ties break to the
     lowest index.
     """
-    scores = ensemble_scores(per_model_train_dice, train_histograms, test_volume,
-                             reading, bins)
+    return select_from_scores(ensemble_scores(per_model_train_dice, train_histograms,
+                                              test_volume, reading, bins), reading)
+
+
+def select_from_scores(scores, reading):
+    """The model ensemble_select picks, given the ensemble_scores it would compute."""
     if reading == "literal":
         return int(np.argmin(scores))
     return int(np.argmax(scores))

@@ -193,8 +193,6 @@ class Model:
         config.validate()
         if precision not in DTYPES:
             raise ValueError("precision must be 'single' or 'double'")
-        if strategy not in STRATEGIES:
-            raise ValueError("unknown strategy %r" % (strategy,))
         self.config = config
         self.precision = precision
         self.strategy = strategy
@@ -205,6 +203,17 @@ class Model:
         for i in reversed(range(config.levels)):
             self.top = Level(i, config, dtype, self.top)
         self.head = Conv("head", config.widths[0], config.num_classes, 1, dtype, bias=True)
+
+    @property
+    def strategy(self):
+        """What the next forward keeps for backward; one of STRATEGIES."""
+        return self._strategy
+
+    @strategy.setter
+    def strategy(self, value):
+        if value not in STRATEGIES:
+            raise ValueError("unknown strategy %r" % (value,))
+        self._strategy = value
 
     @property
     def dtype(self):

@@ -2,11 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from revunet import cli, memplan
+from revunet import cli, memplan, phantoms
 from revunet.phantoms import read_corpus, write_corpus
 from revunet.tensor import _HEADER, MAGIC, tensor_read, tensor_write
 from revunet.unet import build
@@ -113,6 +115,19 @@ class TestMemplan:
     def test_bad_budget(self, capsys, budget):
         code, _, _ = run(capsys, ["memplan", "--budget", budget, "--axis", "volume"])
         assert code == 2
+
+    @pytest.mark.parametrize("axis", ["channels", "volume"])
+    def test_huge_budget_answers_promptly(self, axis):
+        # the search doubles, then bisects, so its work grows with the log of the budget
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from revunet import cli; sys.exit(cli.main())",
+             "memplan", "--budget", "1e30GB", "--axis", axis],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=5)
+        assert proc.returncode in (0, 2), proc.stderr
+        if proc.returncode == 0:
+            report = json.loads(proc.stdout)
+            assert 0 < report["search"]["estimate_bytes"] <= report["budget_bytes"]
 
     def test_budget_without_axis(self, capsys):
         code, _, _ = run(capsys, ["memplan", "--budget", "14GB"])
@@ -311,6 +326,25 @@ class TestEnsembleSelect:
         assert code == 0
         assert report["selected_index"] == 0
         assert report["selected_name"] == "good"
+
+    @pytest.mark.parametrize("reading", ["literal", "inverted"])
+    def test_scores_the_query_once(self, capsys, tmp_path, monkeypatch, reading):
+        stats_path, vol_path = self._write_inputs(tmp_path)
+        stats = json.load(open(stats_path))
+        dice = [m["train_dice"] for m in stats["models"]]
+        volume = tensor_read(vol_path)
+        scores = phantoms.ensemble_scores(dice, stats["train_histograms"], volume, reading, 4)
+        chosen = phantoms.ensemble_select(dice, stats["train_histograms"], volume, reading, 4)
+        expected = {"schema_version": 1, "reading": reading, "scores": scores,
+                    "selected_index": chosen, "selected_name": stats["models"][chosen]["name"]}
+        calls = []
+        histogram = phantoms.histogram
+        monkeypatch.setattr(phantoms, "histogram", lambda *a: calls.append(1) or histogram(*a))
+        out = tmp_path / "sel.json"
+        code, _, _ = run(capsys, ["ensemble-select", "--stats", stats_path, "--volume", vol_path,
+                                  "--reading", reading, "--out", str(out)])
+        assert code == 0 and len(calls) == 1
+        assert out.read_bytes() == (json.dumps(expected, indent=2, sort_keys=True) + "\n").encode()
 
     def test_single_model(self, capsys, tmp_path):
         stats_path, vol_path = self._write_inputs(tmp_path, n_models=1)

@@ -20,6 +20,7 @@ from revunet.engine import (
     walk,
 )
 from revunet.rng import rng_for
+from revunet.training import Adam
 from revunet.unet import build
 
 # measured worst case 2.9e-6 across the toy presets, frozen with margin
@@ -155,6 +156,12 @@ class TestRevBlock:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
             build(verify.TOY2, seed=0, strategy="magic")
+
+    def test_unknown_strategy_rejected_on_assignment(self):
+        model = build(verify.TOY2, seed=0)
+        with pytest.raises(ValueError):
+            model.strategy = "magic"
+        assert model.strategy == "reversible"
 
     def _mbconv_rev(self):
         dtype = np.float64
@@ -295,6 +302,29 @@ class TestGradients:
             dx = model.backward(dlogits, tape)
             assert led.retained_elements == 0
             return [dx] + [leaf.grads[attr] for _, leaf, attr, _ in model.parameters()]
+
+        assert all(np.array_equal(a, b) for a, b in zip(run(False), run(True)))
+
+    def test_strategy_assigned_after_construction_trains(self):
+        # two Adam steps under store-all, chosen at build time or assigned later
+        x, dlogits = _x((1, 4, 8, 8, 8), seed=4), _x((1, 4, 8, 8, 8), seed=5)
+
+        def run(assign):
+            model = build(verify.TOY2, seed=3, precision="double",
+                          strategy="reversible" if assign else "store-all")
+            if assign:
+                model.strategy = "store-all"
+            opt = Adam(model)
+            for _ in range(2):
+                led = MemoryLedger()
+                tape = Tape(led)
+                model.forward(x, tape)
+                # store-all keeps F's and G's contexts, never a rev block output
+                assert not any(kind == "out" for _, kind in led.element_map())
+                model.zero_grads()
+                model.backward(dlogits, tape)
+                opt.step(1e-3)
+            return [arr for _, _, _, arr in model.parameters()]
 
         assert all(np.array_equal(a, b) for a, b in zip(run(False), run(True)))
 

@@ -1,5 +1,7 @@
 """Closed-form memory model vs the runtime ledger, budget search, claims."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,29 @@ class TestBudgetSearch:
         result = budget_search(config, budget, "volume")
         assert all(s % config.grid == 0 for s in result["image_size"])
         assert result["voxel_multiplier"] == pytest.approx(2.6469, abs=1e-3)
+
+    @pytest.mark.parametrize("factor", [1.0, 1.5, 2.84, 10.0])
+    def test_search_matches_a_linear_scan(self, factor):
+        config = PRESETS["mbconv-base"]
+        budget = int(estimate(config, "reversible", "single")["retained_bytes"] * factor)
+
+        def fits(c):
+            return estimate(c, "reversible", "single")["retained_bytes"] <= budget
+
+        k = 1
+        while fits(dataclasses.replace(config, widths=tuple(w * (k + 1) for w in config.widths))):
+            k += 1
+        assert budget_search(config, budget, "channels")["width_multiplier"] == k
+        # every multiplier at which some side crosses a multiple of the grid
+        g = config.grid
+        steps = {j * g / s for s in config.image_size for j in range(s // g, 4 * s // g)}
+
+        def dims(m):
+            return [int(m * s) // g * g for s in config.image_size]
+
+        best = max(m for m in steps if fits(dataclasses.replace(config, image_size=dims(m))))
+        result = budget_search(config, budget, "volume")
+        assert result["per_side_multiplier"] == best and result["image_size"] == dims(best)
 
     def test_below_base_budget_is_an_error(self):
         with pytest.raises(ValueError):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from revunet import ops, reference, verify
+from revunet.engine import Tape
 from revunet.rng import rng_for
 from revunet.tensor import ShapeError
+from revunet.unet import PRESETS, UNetConfig, build
 
 TOL_ORACLE = 1e-12
 TOL_FD = 1e-6
@@ -192,6 +194,90 @@ class TestShiftedWindowKernels:
         assert dw.dtype == dtype and verify._rel(dw, dw_loops) <= DW_TOL[dtype]
 
 
+class TestShiftedWindowKernelsAcrossSlabs(TestShiftedWindowKernels):
+    """The same checks with one plane per slab, so every kernel with d > 1
+    crosses slab edges."""
+
+    @pytest.fixture(autouse=True)
+    def _one_plane_slabs(self, monkeypatch):
+        monkeypatch.setattr(ops, "SLAB_BYTES", 1)
+        monkeypatch.setattr(ops, "MIN_SLAB", 1)
+
+
+def _slabs(n, c_in, c_out, dtype, shape, k=3):
+    """(slab count, voxels in the last slab, voxels per slab) of the tap loop over this grid."""
+    d, h, w = shape
+    plane = (h + k // 2) * (w + k // 2)
+    step = ops._slab(n, c_in, c_out, np.dtype(dtype).itemsize, plane)
+    count = -(-d * plane // step)
+    return count, d * plane - (count - 1) * step, step
+
+
+# grids that take several slabs at the default budget, the last one short
+MULTI_SLAB = [((1, 8, 20, 33, 35), 8), ((2, 6, 18, 40, 24), 6), ((1, 3, 41, 34, 30), 4)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape,co", MULTI_SLAB)
+class TestMultiSlabKernels:
+    def _data(self, label, dtype, shape, co, depthwise=False):
+        gen = _gen("multislab", label, str(dtype), str(shape))
+        x = gen.standard_normal(shape).astype(dtype)
+        w = gen.standard_normal((co, 1 if depthwise else shape[1], 3, 3, 3)).astype(dtype)
+        dy = gen.standard_normal((shape[0], co) + shape[2:]).astype(dtype)
+        return x, w, dy
+
+    def _assert_multi_slab(self, n, c_in, c_out, dtype, grid):
+        count, last, step = _slabs(n, c_in, c_out, dtype, grid)
+        assert count > 1 and 0 < last < step
+
+    def test_depthwise(self, dtype, shape, co):
+        x, w, dy = self._data("dw", dtype, shape, shape[1], depthwise=True)
+        self._assert_multi_slab(shape[0], shape[1], shape[1], dtype, shape[2:])
+        assert _same_bits(ops.depthwise_conv3d(x, w), _loops_depthwise(x, w))
+        assert _same_bits(ops.depthwise_conv3d_bwd(x, w, dy)[0], _loops_depthwise_bwd(x, w, dy)[0])
+
+    def test_conv3d(self, dtype, shape, co):
+        x, w, dy = self._data("conv", dtype, shape, co)
+        self._assert_multi_slab(shape[0], shape[1], co, dtype, shape[2:])
+        self._assert_multi_slab(shape[0], co, shape[1], dtype, shape[2:])
+        b = _gen("multislab-bias").standard_normal(co).astype(dtype)
+        assert _same_bits(ops.conv3d(x, w, b), _loops_conv3d(x, w, b))
+        assert _same_bits(ops.conv3d_bwd(x, w, dy, True)[0], _loops_conv3d_bwd(x, w, dy)[0])
+
+
+def test_model_grids_up_to_16_cubed_take_one_slab(monkeypatch):
+    # every tap loop a model runs on a grid of at most 16^3, at the widths of
+    # the toy presets and of the train and segment benchmark models, then
+    # the paper presets' widths (and 4x, an expanded MBConv width) at 16^3
+    seen = []
+    accumulate = ops._accumulate
+
+    def spy(af, offsets, L, plane, c_out, term):
+        seen.append((af.shape[0], af.shape[1], c_out, af.itemsize, plane, L))
+        return accumulate(af, offsets, L, plane, c_out, term)
+
+    monkeypatch.setattr(ops, "_accumulate", spy)
+    configs = ["mbconv-base-toy", "baseline-toy",
+               UNetConfig(widths=(8, 16, 32), image_size=(16, 16, 16),
+                          block_kind="mbconv", expand_ratio=2),
+               UNetConfig(widths=(8, 16, 32, 64), image_size=(16, 16, 16),
+                          block_kind="standard")]
+    for config in configs:
+        for precision in ("single", "double"):
+            model = build(config, 0, precision)
+            x = _gen("one-slab").standard_normal(
+                (1, model.config.in_ch, 16, 16, 16)).astype(model.dtype)
+            tape = Tape(None)
+            logits = model.forward(x, tape)
+            model.backward(np.ones_like(logits), tape)
+    assert len(seen) > 50
+    for n, c_in, c_out, itemsize, plane, L in seen:
+        assert ops._slab(n, c_in, c_out, itemsize, plane) >= L
+    for c in sorted({c for cfg in PRESETS.values() for w in cfg.widths for c in (w, 4 * w)}):
+        assert ops._slab(1, c, c, 8, 17 * 17) >= 16 * 17 * 17
+
+
 class TestPointwise:
     def test_identity_matrix_kernel(self):
         x = _gen("pw").standard_normal((1, 3, 2, 2, 2))
@@ -272,7 +358,47 @@ class TestSeparability:
         assert verify._rel(composed, ops.conv3d(x, fused)) <= 1e-6
 
 
+def _np_var_group_norm(x, gamma, beta, group_size, eps=1e-5):
+    """Group norm and its VJP written with np.var, as a bitwise reference."""
+    n, c = x.shape[:2]
+    xg = x.reshape((n, c // group_size, group_size) + x.shape[2:])
+    mean = xg.mean(axis=(2, 3, 4, 5), keepdims=True)
+    var = xg.var(axis=(2, 3, 4, 5), keepdims=True)
+    rstd = 1.0 / np.sqrt(var + x.dtype.type(eps))
+    xhat = ((xg - mean) * rstd).reshape(x.shape)
+    out = gamma.reshape(1, c, 1, 1, 1) * xhat + beta.reshape(1, c, 1, 1, 1)
+    return out, xhat, rstd
+
+
+def _np_var_group_norm_bwd(xhat, rstd, gamma, dy, group_size):
+    n, c = dy.shape[:2]
+    inner = (n, c // group_size, group_size) + dy.shape[2:]
+    dxhat = (dy * gamma.reshape(1, c, 1, 1, 1)).reshape(inner)
+    xh = xhat.reshape(inner)
+    m1 = dxhat.mean(axis=(2, 3, 4, 5), keepdims=True)
+    m2 = (dxhat * xh).mean(axis=(2, 3, 4, 5), keepdims=True)
+    dx = (rstd * (dxhat - m1 - xh * m2)).reshape(dy.shape)
+    return dx, (dy * xhat).sum(axis=(0, 2, 3, 4)), dy.sum(axis=(0, 2, 3, 4))
+
+
 class TestGroupNorm:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape,group_size", [
+        ((1, 4, 5, 6, 7), 4), ((2, 8, 4, 4, 4), 8), ((1, 16, 8, 8, 8), 16),
+        ((1, 32, 6, 6, 6), 32), ((1, 30, 5, 5, 5), 10), ((2, 20, 3, 4, 5), 10)])
+    def test_matches_np_var_formulation_bitwise(self, dtype, shape, group_size):
+        gen = _gen("gn-var", str(dtype), str(shape))
+        x = (gen.standard_normal(shape) * 7.0 + 3.0).astype(dtype)
+        gamma = gen.standard_normal(shape[1]).astype(dtype)
+        beta = gen.standard_normal(shape[1]).astype(dtype)
+        dy = gen.standard_normal(shape).astype(dtype)
+        fast, ref = ops.group_norm(x, gamma, beta, group_size), _np_var_group_norm(
+            x, gamma, beta, group_size)
+        assert all(_same_bits(a, b) for a, b in zip(fast, ref))
+        back = ops.group_norm_bwd(fast[1], fast[2], gamma, dy, group_size)
+        ref_back = _np_var_group_norm_bwd(ref[1], ref[2], gamma, dy, group_size)
+        assert all(_same_bits(a, b) for a, b in zip(back, ref_back))
+
     def test_constant_input_zero_output(self):
         x = np.full((1, 4, 2, 2, 2), 3.7)
         out, _, _ = ops.group_norm(x, np.ones(4), np.zeros(4), group_size=2)

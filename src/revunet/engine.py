@@ -228,7 +228,7 @@ class MaxPool2(Node):
     op = "maxpool"
 
     def forward(self, x, tape):
-        y, idx = ops.maxpool3d(x)
+        y, idx = ops.maxpool3d(x, tape is not None)
         if tape is not None:
             tape.save(self.name, "idx", self.op, idx)
         return y

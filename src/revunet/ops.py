@@ -25,6 +25,15 @@ same correlation over padded dy with mirrored taps. The weight gradient is
 reduced over the whole padded grid, whose extra columns are zero, so it
 matches such a loop only to rounding. Every accumulation order is fixed,
 so repeated runs are bitwise identical.
+
+Max pooling reduces each 2x2x2 window by three np.maximum calls over slot
+pairs: along w, then h, then d, always with the earlier slot as the
+second operand. np.maximum returns its second operand on a tie, so the
+output is the first maximum in window scan order bit for bit, signed
+zeros included, as an argmax over the window gives it. With NaNs the
+index is the first NaN's, but of two NaNs in one window the output keeps
+the later one's payload. Argmax indices are built only when asked for,
+which a forward without a tape never does.
 """
 
 import numpy as np
@@ -244,31 +253,60 @@ def relu_bwd(x, dy):
     return dy * (x > 0)
 
 
-def maxpool3d(x):
+def _slots(a, axis):
+    """Views of the even (earlier) and odd (later) slots of ``a`` along ``axis``."""
+    lead = (slice(None),) * axis
+    return a[lead + (slice(0, None, 2),)], a[lead + (slice(1, None, 2),)]
+
+
+def maxpool3d(x, need_idx):
     """2x2x2 max pooling; returns (output, flat within-window argmax indices).
 
-    Ties take the first maximum in window scan order. Indices are int32 in
-    single precision and int64 in double, so their byte cost equals one
-    scalar per output voxel at the ambient width.
+    Three np.maximum calls reduce slot pairs along w, then h, then d, each
+    with the earlier slot as the second operand. np.maximum returns its
+    second operand on a tie, so ties, signed zeros included, keep the first
+    maximum in window scan order (index 4 dz + 2 dy + dx), bitwise as an
+    argmax over the window would. A NaN propagates and its index is the
+    first NaN in scan order; when two NaNs with different payloads share a
+    window, the output keeps the later one's payload, so the value is NaN
+    but its payload bits may differ from the first NaN's.
+
+    Indices are built only when ``need_idx`` is true, else None: each stage
+    marks where the later slot won (the maximum differs from the earlier
+    slot, and the earlier slot is not NaN), and a uint8 code carries those
+    bits. Indices are int32 in single precision and int64 in double, so
+    their byte cost equals one scalar per output voxel at the ambient width.
     """
-    n, c, d, h, w = x.shape
+    d, h, w = x.shape[2:]
     if d % 2 or h % 2 or w % 2:
         raise ShapeError("maxpool needs even spatial dims, got %r" % (x.shape[2:],))
-    win = x.reshape(n, c, d // 2, 2, h // 2, 2, w // 2, 2)
-    win = win.transpose(0, 1, 2, 4, 6, 3, 5, 7).reshape(n, c, d // 2, h // 2, w // 2, 8)
-    idx_dtype = np.int32 if x.dtype == np.float32 else np.int64
-    idx = win.argmax(axis=-1).astype(idx_dtype)
-    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
-    return np.ascontiguousarray(out), idx
+    out, code = x, None
+    for axis, bit in ((4, 1), (3, 2), (2, 4)):
+        earlier, later = _slots(out, axis)
+        out = np.maximum(later, earlier)
+        if need_idx:
+            won = ((out != earlier) & ~np.isnan(earlier)).view(np.uint8)
+            if code is None:
+                code = won
+            else:
+                # code_later | bit where the later slot won, else code_earlier
+                code_earlier, code_later = _slots(code, axis)
+                code = code_later | np.uint8(bit)
+                code ^= code_earlier
+                code *= won
+                code ^= code_earlier
+    if not need_idx:
+        return out, None
+    return out, code.astype(np.int32 if x.dtype == np.float32 else np.int64)
 
 
 def maxpool3d_bwd(idx, in_shape, dy):
-    n, c, d, h, w = in_shape
-    win = np.zeros((n, c, d // 2, h // 2, w // 2, 8), dtype=dy.dtype)
-    np.put_along_axis(win, idx[..., None], dy[..., None], axis=-1)
-    win = win.reshape(n, c, d // 2, h // 2, w // 2, 2, 2, 2)
-    return np.ascontiguousarray(
-        win.transpose(0, 1, 2, 5, 3, 6, 4, 7).reshape(n, c, d, h, w))
+    # each window slot j = 4 dz + 2 dy + dx takes dy where it won and zero elsewhere
+    dx = np.empty(in_shape, dtype=dy.dtype)
+    zero = dy.dtype.type(0)
+    for j in range(8):
+        dx[:, :, j >> 2::2, (j >> 1) & 1::2, j & 1::2] = np.where(idx == j, dy, zero)
+    return dx
 
 
 def _upsample_matrix(m, dtype):

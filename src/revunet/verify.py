@@ -88,7 +88,7 @@ def oracle_suite(seed, tol=1e-12):
                               reference.depthwise_conv3d_loops(xd, wd)), tol))
 
     xm = gen.standard_normal((1, 2, 4, 4, 4))
-    pooled, _ = ops.maxpool3d(xm)
+    pooled, _ = ops.maxpool3d(xm, False)
     exact = np.array_equal(pooled, reference.maxpool3d_loops(xm))
     checks.append(_entry("oracle.maxpool", 0.0 if exact else 1.0, 0.0))
 
@@ -215,8 +215,8 @@ def fd_primitive_suite(seed, tol=1e-6, coords_per_op=120):
     # distinct values with a wide margin: a 1e-5 nudge can never flip an argmax
     xm = (0.1 * gen.permutation(np.arange(128, dtype=np.float64))).reshape(1, 2, 4, 4, 4)
     run("maxpool", [xm],
-        lambda: ops.maxpool3d(xm)[0],
-        lambda r: ops.maxpool3d_bwd(ops.maxpool3d(xm)[1], xm.shape, r))
+        lambda: ops.maxpool3d(xm, False)[0],
+        lambda r: ops.maxpool3d_bwd(ops.maxpool3d(xm, True)[1], xm.shape, r))
 
     xu = gen.standard_normal((1, 2, 4, 4, 4))
     run("upsample", [xu],

@@ -216,6 +216,18 @@ def _slabs(n, c_in, c_out, dtype, shape, k=3):
 # grids that take several slabs at the default budget, the last one short
 MULTI_SLAB = [((1, 8, 20, 33, 35), 8), ((2, 6, 18, 40, 24), 6), ((1, 3, 41, 34, 30), 4)]
 
+# A weight gradient entry sums K = n * d * h * w products in another order
+# than the loops do, and the rounding of a K-term sum of terms of either
+# sign grows like eps * sqrt(K), so past small grids dw is held to
+# DW_SCALE * eps * sqrt(K) instead of DW_TOL: float32 dw at x (1, 3, 40,
+# 34, 30) with 4 output channels reads 1.46e-6, 0.061 eps sqrt(K), and the
+# largest of the grids here in either precision 0.080 eps sqrt(K).
+DW_SCALE = 0.25
+
+
+def _dw_bound(x):
+    return DW_SCALE * np.finfo(x.dtype).eps * np.sqrt(x.shape[0] * np.prod(x.shape[2:]))
+
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("shape,co", MULTI_SLAB)
@@ -235,7 +247,10 @@ class TestMultiSlabKernels:
         x, w, dy = self._data("dw", dtype, shape, shape[1], depthwise=True)
         self._assert_multi_slab(shape[0], shape[1], shape[1], dtype, shape[2:])
         assert _same_bits(ops.depthwise_conv3d(x, w), _loops_depthwise(x, w))
-        assert _same_bits(ops.depthwise_conv3d_bwd(x, w, dy)[0], _loops_depthwise_bwd(x, w, dy)[0])
+        dx, dw = ops.depthwise_conv3d_bwd(x, w, dy)
+        dx_loops, dw_loops = _loops_depthwise_bwd(x, w, dy)
+        assert _same_bits(dx, dx_loops)
+        assert dw.dtype == dtype and verify._rel(dw, dw_loops) <= _dw_bound(x)
 
     def test_conv3d(self, dtype, shape, co):
         x, w, dy = self._data("conv", dtype, shape, co)
@@ -243,7 +258,18 @@ class TestMultiSlabKernels:
         self._assert_multi_slab(shape[0], co, shape[1], dtype, shape[2:])
         b = _gen("multislab-bias").standard_normal(co).astype(dtype)
         assert _same_bits(ops.conv3d(x, w, b), _loops_conv3d(x, w, b))
-        assert _same_bits(ops.conv3d_bwd(x, w, dy, True)[0], _loops_conv3d_bwd(x, w, dy)[0])
+        dx, dw, _ = ops.conv3d_bwd(x, w, dy, True)
+        dx_loops, dw_loops = _loops_conv3d_bwd(x, w, dy)
+        assert _same_bits(dx, dx_loops)
+        assert dw.dtype == dtype and verify._rel(dw, dw_loops) <= _dw_bound(x)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv3d_dw_within_the_scaled_bound_where_dw_tol_is_too_tight(dtype):
+    # the grid where float32 dw first read past DW_TOL (1.46e-6)
+    x, w, dy = TestMultiSlabKernels()._data("conv", dtype, (1, 3, 40, 34, 30), 4)
+    dw = ops.conv3d_bwd(x, w, dy, False)[1]
+    assert verify._rel(dw, _loops_conv3d_bwd(x, w, dy)[1]) <= _dw_bound(x)
 
 
 def test_model_grids_up_to_16_cubed_take_one_slab(monkeypatch):
@@ -447,35 +473,114 @@ class TestRelu:
         assert np.array_equal(ops.relu_bwd(x, dy).ravel(), [0.0, 5.0])
 
 
+# The transpose/argmax/take_along_axis forward and put_along_axis backward
+# max pooling used before the staged-maximum rewrite, kept as a test-only
+# oracle: first maximum in window scan order, first NaN if any.
+def _argmax_maxpool3d(x):
+    n, c, d, h, w = x.shape
+    win = x.reshape(n, c, d // 2, 2, h // 2, 2, w // 2, 2)
+    win = win.transpose(0, 1, 2, 4, 6, 3, 5, 7).reshape(n, c, d // 2, h // 2, w // 2, 8)
+    idx = win.argmax(axis=-1).astype(np.int32 if x.dtype == np.float32 else np.int64)
+    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+    return np.ascontiguousarray(out), idx
+
+
+def _put_along_maxpool3d_bwd(idx, in_shape, dy):
+    n, c, d, h, w = in_shape
+    win = np.zeros((n, c, d // 2, h // 2, w // 2, 8), dtype=dy.dtype)
+    np.put_along_axis(win, idx[..., None], dy[..., None], axis=-1)
+    win = win.reshape(n, c, d // 2, h // 2, w // 2, 2, 2, 2)
+    return np.ascontiguousarray(win.transpose(0, 1, 2, 5, 3, 6, 4, 7).reshape(n, c, d, h, w))
+
+
+POOL_SHAPES = [(2, 3, 4, 6, 2), (2, 4, 8, 2, 6), (1, 8, 64, 64, 64)]
+
+
+def _pool_input(kind, dtype, shape):
+    gen = _gen("pool", kind, str(dtype), str(shape))
+    if kind == "normal":
+        return gen.standard_normal(shape).astype(dtype)
+    if kind == "all-equal":
+        return np.full(shape, 1.5, dtype=dtype)
+    if kind == "signed-zeros":
+        # integers at most 0 with random zero signs: most windows tie at a
+        # maximum of zero, many between +0 and -0
+        x = gen.integers(-2, 1, shape).astype(dtype)
+        x[(x == 0) & (gen.random(shape) < 0.5)] = -0.0
+        return x
+    if kind == "non-contiguous":
+        n, c, d, h, w = shape
+        x = gen.standard_normal((n, 2 * c, h, d, w)).astype(dtype)[:, ::2].transpose(0, 1, 3, 2, 4)
+        assert x.shape == shape and not x.flags.c_contiguous
+        return x
+    assert kind == "nan"
+    x = gen.standard_normal(shape).astype(dtype)
+    x[gen.random(shape) < 0.2] = np.nan
+    return x
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", POOL_SHAPES)
+@pytest.mark.parametrize("kind", ["normal", "all-equal", "signed-zeros", "non-contiguous", "nan"])
+def test_maxpool_matches_argmax_oracle_bitwise(kind, shape, dtype):
+    x = _pool_input(kind, dtype, shape)
+    out_oracle, idx_oracle = _argmax_maxpool3d(x)
+    out, idx = ops.maxpool3d(x, True)
+    bare, no_idx = ops.maxpool3d(x, False)
+    assert no_idx is None
+    if kind == "nan":
+        # indices pick the first NaN; values are NaN wherever the oracle's
+        # are, but a window with two NaN payloads keeps the later one's
+        assert np.isnan(out).any() and out.dtype == dtype
+        assert np.array_equal(out, out_oracle, equal_nan=True)
+        assert np.array_equal(bare, out, equal_nan=True)
+    else:
+        assert _same_bits(out, out_oracle) and _same_bits(bare, out)
+    assert _same_bits(idx, idx_oracle)
+    dy = _gen("pool-dy", kind, str(dtype), str(shape)).standard_normal(out.shape).astype(dtype)
+    assert _same_bits(ops.maxpool3d_bwd(idx, x.shape, dy),
+                      _put_along_maxpool3d_bwd(idx_oracle, x.shape, dy))
+
+
+def test_maxpool_two_nan_payloads_stay_nan():
+    # both NaNs win nothing against each other: the index is the first, the
+    # value stays NaN though np.maximum keeps the later one's payload
+    bits = np.zeros(8, dtype=np.uint64)
+    bits[2], bits[5] = 0x7FF8000000000001, 0x7FF8000000000002
+    x = bits.view(np.float64).reshape(1, 1, 2, 2, 2)
+    out, idx = ops.maxpool3d(x, True)
+    assert np.isnan(out).all() and idx.ravel()[0] == 2 == _argmax_maxpool3d(x)[1].ravel()[0]
+
+
 class TestMaxPool:
     def test_single_window(self):
         x = np.arange(8, dtype=np.float64).reshape(1, 1, 2, 2, 2)
-        out, idx = ops.maxpool3d(x)
+        out, idx = ops.maxpool3d(x, True)
         assert out.shape == (1, 1, 1, 1, 1)
         assert out.ravel()[0] == 7.0
         assert idx.ravel()[0] == 7
 
     def test_constant_and_tie_breaking(self):
         x = np.ones((1, 1, 2, 2, 2))
-        out, idx = ops.maxpool3d(x)
+        out, idx = ops.maxpool3d(x, True)
         assert np.array_equal(out, np.ones((1, 1, 1, 1, 1)))
         assert idx.ravel()[0] == 0  # first maximum wins on ties
 
     def test_matches_window_scan_oracle(self):
         x = _gen("mp").standard_normal((1, 2, 4, 4, 4))
-        out, _ = ops.maxpool3d(x)
+        out, _ = ops.maxpool3d(x, False)
         assert np.array_equal(out, reference.maxpool3d_loops(x))
 
     def test_index_dtype_tracks_precision(self):
         x32 = _gen("mp32").standard_normal((1, 1, 2, 2, 2)).astype(np.float32)
-        _, idx32 = ops.maxpool3d(x32)
-        _, idx64 = ops.maxpool3d(x32.astype(np.float64))
+        _, idx32 = ops.maxpool3d(x32, True)
+        _, idx64 = ops.maxpool3d(x32.astype(np.float64), True)
         assert idx32.dtype == np.int32 and idx64.dtype == np.int64
 
     def test_vjp_routes_to_argmax_only(self):
         gen = _gen("mpv")
         x = 0.1 * gen.permutation(np.arange(64, dtype=np.float64)).reshape(1, 1, 4, 4, 4)
-        out, idx = ops.maxpool3d(x)
+        out, idx = ops.maxpool3d(x, True)
         dy = np.ones_like(out)
         dx = ops.maxpool3d_bwd(idx, x.shape, dy)
         assert dx.sum() == dy.size
@@ -484,7 +589,7 @@ class TestMaxPool:
 
     def test_odd_dims_rejected(self):
         with pytest.raises(ShapeError):
-            ops.maxpool3d(np.zeros((1, 1, 3, 4, 4)))
+            ops.maxpool3d(np.zeros((1, 1, 3, 4, 4)), False)
 
 
 class TestUpsample:

@@ -8,10 +8,11 @@ refactor that claims unchanged behaviour must leave every entry equal.
 
 The entries cover, for `build(c, 7, p, s)` with `mbconv-base-toy`,
 `baseline-toy` and `verify.TOY2` in both precisions and both strategies,
-the forward output, the input gradient, every parameter and parameter
-gradient, and `ledger.report()` after forward and after backward; the
-records and final parameters of a 4-step `training.train` under each
-strategy; the `metrics.jsonl` of holdout runs that stop on steps, on
+the forward output without a tape (the inference path) and with one, the
+input gradient, every parameter and parameter gradient, and
+`ledger.report()` after forward and after backward; the records and
+final parameters of a 4-step `training.train` under each strategy; the
+`metrics.jsonl` of holdout runs that stop on steps, on
 epochs, and on epochs with steps also given; the JSON of
 `gradcheck_report("mbconv-base", s)` for s in {0, 5, 30}; and the JSON of
 `claims_report("single")`. It drives the package only through `build`,
@@ -59,6 +60,7 @@ def _model_entry(unet, engine, config, precision, strategy):
     gen = np.random.default_rng(11)
     x = gen.standard_normal((1, cfg.in_ch) + tuple(cfg.image_size)).astype(model.dtype)
     dlogits = gen.standard_normal((1, cfg.num_classes) + tuple(cfg.image_size)).astype(model.dtype)
+    d.array("logits, no tape", model.forward(x, None))
     ledger = engine.MemoryLedger()
     tape = engine.Tape(ledger)
     d.array("logits", model.forward(x, tape))

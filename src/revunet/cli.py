@@ -137,6 +137,29 @@ def cmd_train(args):
     return 0
 
 
+def class_labels(logits):
+    """``np.argmax(logits, axis=1)``, bytes and dtype included, by a pairwise compare chain.
+
+    Classes are taken in order against the running maximum: a later class
+    wins only where the maximum changes value (NaN differs from
+    everything) and the earlier maximum is not NaN. So ties, signed zeros
+    included, keep the first class, and the first NaN wins as in
+    np.argmax. A few elementwise passes per class beat argmax's reduction
+    over a short axis strided by the whole grid.
+    """
+    best = logits[:, 0]
+    classes = logits.shape[1]
+    code = np.zeros(best.shape, dtype=np.min_scalar_type(classes - 1))
+    for c in range(1, classes):
+        top = np.maximum(logits[:, c], best)
+        won = top != best
+        won &= best == best
+        # classes come in increasing order, so c tops any earlier code
+        np.maximum(code, won.view(np.uint8) * code.dtype.type(c), out=code)
+        best = top
+    return code.astype(np.intp)
+
+
 def cmd_segment(args):
     model = Model.load(args.model)
     volume = tensor_read(args.volume)
@@ -146,7 +169,7 @@ def cmd_segment(args):
     volume = volume.astype(model.dtype, copy=False)
     padded, record = pad_to_grid(volume, model.config.levels)
     logits = crop_to_record(model.forward(padded, None), record)
-    labels = np.argmax(logits, axis=1)[0]
+    labels = class_labels(logits)[0]
     out5 = labels.astype(np.float32).reshape((1, 1) + labels.shape)
     tensor_write(out5, args.out)
     report = {

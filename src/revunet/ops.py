@@ -15,16 +15,40 @@ walk the grid in slabs of whole planes and add all k**3 taps into one slab
 before the next, so a slab's rows stay in cache instead of k**3 passes over
 the whole grid. A slab is as many planes as fit SLAB_BYTES at the kernel's
 channel counts and itemsize, but at least MIN_SLAB voxels; a grid that fits
-is one slab, which covers every grid of at most 16^3 for k = 3. Within a
-slab each output element adds one product per tap in offset-major
-(dz, dy, dx) order, whatever the slab size, so forward and input gradient
-equal a per-offset loop over strided windows bitwise wherever the matmul
-rounds a column the same at any matrix width (slabs narrow the matrices;
-elementwise depthwise products always qualify). The input gradient is the
-same correlation over padded dy with mirrored taps. The weight gradient is
-reduced over the whole padded grid, whose extra columns are zero, so it
-matches such a loop only to rounding. Every accumulation order is fixed,
-so repeated runs are bitwise identical.
+is one slab, which covers every grid of at most 16^3 for k = 3. The input
+gradient is the same correlation over padded dy with mirrored taps.
+
+The standard conv makes one BLAS ?gemm call per tap, slab and sample,
+C = A B + beta C, straight into the output slab: beta = 0 for the first
+tap and 1 for every later one, so no tap needs a buffer or an add pass.
+The gemm is the one numpy's matmul calls, bound from the OpenBLAS numpy
+itself loaded (64-bit ints; importing this module raises ImportError when
+neither name resolves), so one BLAS and one thread pool serve both. It
+rounds like numpy's matmul followed by an add: its kernel sums a column's
+c_in products in a register just as the beta = 0 call inside matmul does,
+and its beta = 1 store adds that sum to C with one rounding, as the add
+would (alpha = beta = 1 scale nothing). That holds while c_in fits one
+OpenBLAS k-block: bitwise at c_in <= 384 in both precisions, while from
+512 on gemm adds each block's partial sum into C in turn. numpy's matmul
+computes a product with one row or one column as a matrix-vector product
+(gemv), which rounds unlike gemm, so a conv with one output channel (for
+the input gradient: one input channel), or whose last slab has one
+column, takes np.matmul plus an add per tap instead, through the same
+product-and-add walker as the depthwise kernels' elementwise multiply.
+
+Within a slab each output element thus adds one product per tap in
+offset-major (dz, dy, dx) order, whatever the slab size, so forward and
+input gradient equal a per-offset loop of numpy matmuls over strided
+windows bitwise wherever numpy's matmul rounds a column the same at any
+matrix width (slabs narrow the matrices; elementwise depthwise products
+always qualify). One exception: numpy hands an F-contiguous matrix to
+gemm transposed, which can take another kernel with other rounding, so
+the input gradient of a k = 1 conv, whose loop multiplies by w.T as is,
+matches such a loop only to rounding; models run k = 1 convolutions
+through pointwise_conv3d. The weight gradient is reduced over the whole
+padded grid, whose extra columns are zero, so it matches such a loop only
+to rounding. Every accumulation order is fixed, so repeated runs are
+bitwise identical.
 
 Max pooling reduces each 2x2x2 window by three np.maximum calls over slot
 pairs: along w, then h, then d, always with the earlier slot as the
@@ -36,7 +60,14 @@ the later one's payload. Argmax indices are built only when asked for,
 which a forward without a tape never does.
 """
 
+import ctypes
+
 import numpy as np
+
+try:
+    from numpy._core import _multiarray_umath
+except ImportError:  # numpy 1.x
+    from numpy.core import _multiarray_umath
 
 from .tensor import ShapeError
 
@@ -88,24 +119,122 @@ def _slab(n, c_in, c_out, itemsize, plane):
     return planes * plane
 
 
-def _accumulate(af, offsets, L, plane, c_out, term):
-    """Sum ``term(i, window_i, buf)`` over the taps in order into an (n, c_out, L) grid.
+def _accumulate(af, offsets, out, plane, slab_taps):
+    """Sum the taps in order into the (n, c_out, L) grid ``out``, slab by slab.
 
-    The grid is walked in slabs of whole planes; each slab takes all taps,
-    through one slab-sized temporary, before the next starts.
+    ``slab_taps(s0, s1)`` returns ``add_tap(i, a0)`` for grid voxels
+    [s0, s1): it writes tap i's term into ``out[:, :, s0:s1]`` when i == 0
+    and adds it there otherwise, the window being ``af[:, :, a0:a0 + s1 -
+    s0]``. Each slab takes all taps before the next starts.
     """
     n, c_in = af.shape[:2]
+    c_out, L = out.shape[1:]
     step = _slab(n, c_in, c_out, af.itemsize, plane)
-    out = np.empty((n, c_out, L), dtype=af.dtype)
-    tmp = np.empty((n, c_out, min(step, L)), dtype=af.dtype)
     for s0 in range(0, L, step):
         s1 = min(s0 + step, L)
-        acc, buf = out[:, :, s0:s1], tmp[:, :, :s1 - s0]
-        term(0, af[:, :, offsets[0] + s0:offsets[0] + s1], acc)
-        for i in range(1, len(offsets)):
-            term(i, af[:, :, offsets[i] + s0:offsets[i] + s1], buf)
-            acc += buf
+        add_tap = slab_taps(s0, s1)
+        for i, off in enumerate(offsets):
+            add_tap(i, off + s0)
     return out
+
+
+def _bind_gemm():
+    """cblas ?gemm of the OpenBLAS numpy itself loaded: -> {dtype: (function, scalar type)}."""
+    path = _multiarray_umath.__file__
+    lib = ctypes.CDLL(path)
+    for prefix in ("scipy_cblas_", "cblas_"):
+        try:
+            sgemm, dgemm = getattr(lib, prefix + "sgemm64_"), getattr(lib, prefix + "dgemm64_")
+        except AttributeError:
+            continue
+        i64, ptr = ctypes.c_int64, ctypes.c_void_p
+        for fn, scalar in ((sgemm, ctypes.c_float), (dgemm, ctypes.c_double)):
+            # order, transa, transb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc
+            fn.argtypes = ([ctypes.c_int] * 3 + [i64] * 3
+                           + [scalar, ptr, i64, ptr, i64, scalar, ptr, i64])
+            fn.restype = None
+        return {np.dtype(np.float32): (sgemm, ctypes.c_float),
+                np.dtype(np.float64): (dgemm, ctypes.c_double)}
+    raise ImportError("revunet.ops needs numpy's own BLAS: neither scipy_cblas_?gemm64_ nor "
+                      "cblas_?gemm64_ resolves in %s" % path)
+
+
+_GEMM = _bind_gemm()
+_ROW_MAJOR, _NO_TRANS = ctypes.c_int(101), ctypes.c_int(111)
+
+
+def _correlate(af, offsets, L, plane, taps):
+    """Sum ``taps[i] @ window_i`` over the taps into an (n, c_out, L) grid.
+
+    ``taps`` is (k**3, c_out, c_in). Each tap and slab is one ?gemm per
+    sample, C = A B + beta C straight into the output slab: beta is 0 for
+    tap 0 and 1 after it, B is the window with ldb the padded row length,
+    and C is the slab with ldc = L. Products numpy's matmul computes by
+    gemv, with one row or one column, go through np.matmul instead.
+    """
+    n, c_in, row = af.shape
+    c_out = taps.shape[1]
+    # every pointer formed below must stay inside af, taps or out
+    if not (af.dtype in _GEMM and taps.dtype == af.dtype and af.flags.c_contiguous
+            and taps.shape == (len(offsets), c_out, c_in) and max(offsets) + L <= row):
+        raise ValueError("tap windows do not fit the padded %s grid %r" % (af.dtype, af.shape))
+    item = af.itemsize
+    if c_out == 1 or (L - 1) % _slab(n, c_in, c_out, item, plane) == 0:
+        # a tap product with one row, or a slab of one column: numpy's matmul
+        # computes those as a matrix-vector product, as in the loop oracle
+        return _sum_products(np.matmul, af, offsets, L, plane, taps)
+    gemm, scalar = _GEMM[af.dtype]
+    # this frame holds the contiguous copy until every call below is done
+    taps = np.ascontiguousarray(taps)
+    out = np.empty((n, c_out, L), dtype=af.dtype)
+    a_ptr, b_ptr, c_ptr = (arr.ctypes.data for arr in (taps, af, out))
+    tap_bytes = c_out * c_in * item
+    m, k, lda, ldb, ldc = (ctypes.c_int64(v) for v in (c_out, c_in, c_in, row, L))
+    alpha, betas = scalar(1), (scalar(0), scalar(1))
+    # set in place before each call, which costs less than new ctypes objects
+    cols, a, b = ctypes.c_int64(), ctypes.c_void_p(), ctypes.c_void_p()
+
+    def slab_taps(s0, s1):
+        cols.value = s1 - s0
+        # (start of sample j's rows in af, its output slab)
+        samples = [(b_ptr + j * c_in * row * item,
+                    ctypes.c_void_p(c_ptr + (j * c_out * L + s0) * item)) for j in range(n)]
+
+        def add_tap(i, a0):
+            a.value, beta = a_ptr + i * tap_bytes, betas[i > 0]
+            for b0, c in samples:
+                b.value = b0 + a0 * item
+                gemm(_ROW_MAJOR, _NO_TRANS, _NO_TRANS, m, cols, k,
+                     alpha, a, lda, b, ldb, beta, c, ldc)
+        return add_tap
+
+    return _accumulate(af, offsets, out, plane, slab_taps)
+
+
+def _sum_products(product, af, offsets, L, plane, taps):
+    """Sum ``product(taps[i], window_i)`` over the taps into an (n, c_out, L) grid.
+
+    Each tap's product goes through one slab-sized buffer and is then
+    added into the slab, except tap 0's, which is written there.
+    """
+    n, c_in = af.shape[:2]
+    c_out = taps.shape[1]
+    out = np.empty((n, c_out, L), dtype=af.dtype)
+    buf = np.empty((n, c_out, min(_slab(n, c_in, c_out, af.itemsize, plane), L)), dtype=af.dtype)
+
+    def slab_taps(s0, s1):
+        acc, part, cols = out[:, :, s0:s1], buf[:, :, :s1 - s0], s1 - s0
+
+        def add_tap(i, a0):
+            # out arrays passed by position: cheaper than the keyword per call
+            win = af[:, :, a0:a0 + cols]
+            if i:
+                np.add(acc, product(taps[i], win, part), acc)
+            else:
+                product(taps[0], win, acc)
+        return add_tap
+
+    return _accumulate(af, offsets, out, plane, slab_taps)
 
 
 def _crop(grid, shape, k):
@@ -115,24 +244,32 @@ def _crop(grid, shape, k):
     return np.ascontiguousarray(grid.reshape(grid.shape[:2] + (d, h + r, w + r))[:, :, :, :h, :w])
 
 
+def _check_dtypes(*arrays):
+    """The conv kernels hand raw pointers to ?gemm: one dtype, float32 or float64."""
+    dtypes = {a.dtype for a in arrays}
+    if len(dtypes) != 1 or dtypes.pop() not in _GEMM:
+        raise TypeError("conv3d needs arrays of one dtype, float32 or float64, got %s"
+                        % ", ".join(str(a.dtype) for a in arrays))
+
+
 def conv3d(x, w, b=None):
     """Standard 3D convolution, stride 1, zero 'same' padding."""
     _check_kernel(x, w)
+    _check_dtypes(x, w)
     ci = x.shape[1]
     co, ci_k, k = w.shape[:3]
     if ci_k != ci:
         raise ShapeError("conv3d channel mismatch: input %d, kernel %d" % (ci, ci_k))
-    # taps[i] is tap i's (co, ci) weight view; the tap axis leads so each lookup is cheap
-    taps = w.reshape(co, ci, -1).transpose(2, 0, 1)
-    out = _accumulate(*_windows(x, k), co, lambda i, win, buf: np.matmul(taps[i], win, out=buf))
+    # taps[i] is tap i's (co, ci) weight matrix
+    out = _correlate(*_windows(x, k), w.reshape(co, ci, -1).transpose(2, 0, 1))
     if b is not None:
         out += b.reshape(1, co, 1)
     return _crop(out, x.shape[2:], k)
 
 
 def conv3d_bwd(x, w, dy, has_bias):
+    _check_dtypes(x, w, dy)
     co, ci, k = w.shape[:3]
-    taps = w.reshape(co, ci, -1).transpose(2, 1, 0)
     dyf, offsets, L, plane = _windows(dy, k)
     # the centre window is dy on the grid, zero in the columns the crop drops
     centre = offsets[len(offsets) // 2]
@@ -144,8 +281,7 @@ def conv3d_bwd(x, w, dy, has_bias):
     # full-grid array is allocated: this bounds the backward's peak memory
     del xf
     # the adjoint is the same correlation over padded dy, with mirrored taps
-    dx = _accumulate(dyf, offsets[::-1], L, plane, ci,
-                     lambda i, win, buf: np.matmul(taps[i], win, out=buf))
+    dx = _correlate(dyf, offsets[::-1], L, plane, w.reshape(co, ci, -1).transpose(2, 1, 0))
     del dyf, dyg
     db = dy.sum(axis=(0, 2, 3, 4)) if has_bias else None
     return _crop(dx, x.shape[2:], k), dw.reshape(w.shape), db
@@ -182,7 +318,7 @@ def depthwise_conv3d(x, w):
         raise ShapeError("depthwise kernel mismatch: input %d channels, kernel %r"
                          % (c, w.shape[:2]))
     taps = w.reshape(c, -1, 1).transpose(1, 0, 2)
-    out = _accumulate(*_windows(x, k), c, lambda i, win, buf: np.multiply(taps[i], win, out=buf))
+    out = _sum_products(np.multiply, *_windows(x, k), taps)
     return _crop(out, x.shape[2:], k)
 
 
@@ -196,8 +332,7 @@ def depthwise_conv3d_bwd(x, w, dy):
     dw = np.stack([np.matmul(xf[:, :, None, off:off + L], dyg)[:, :, 0, 0].sum(axis=0)
                    for off in offsets], axis=-1)
     del xf
-    dx = _accumulate(dyf, offsets[::-1], L, plane, c,
-                     lambda i, win, buf: np.multiply(taps[i], win, out=buf))
+    dx = _sum_products(np.multiply, dyf, offsets[::-1], L, plane, taps)
     del dyf, dyg
     return _crop(dx, x.shape[2:], k), dw.reshape(w.shape)
 

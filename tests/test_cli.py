@@ -293,6 +293,38 @@ class TestTrainAndSegment:
         assert not os.path.exists(tmp_path / "o.rvt")
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_class_labels_equal_argmax_bytes(dtype):
+    gen = np.random.default_rng(7)
+    shape = (2, 4, 5, 6, 7)
+    cases = {"random": gen.standard_normal(shape),
+             # few distinct values: ties between any classes, first ones included
+             "tied": gen.integers(-1, 2, shape).astype(float),
+             "signed zeros": np.where(gen.random(shape) < 0.5, -0.0, 0.0),
+             "all equal": np.ones(shape)}
+    nan = gen.standard_normal(shape)
+    nan[gen.random(shape) < 0.3] = np.nan
+    cases["nan"] = nan
+    # two NaNs with other payloads, and a NaN after the maximum: the first NaN wins
+    payloads = np.zeros(shape)
+    payloads[:, 1] = np.float64(np.nan)
+    payloads[:, 2] = -np.float64(np.nan)
+    payloads[:, 3] = np.inf
+    cases["nan payloads"] = payloads
+    mixed = np.zeros(shape)
+    mixed[:, 0], mixed[:, 1], mixed[:, 2], mixed[:, 3] = -np.inf, 3.0, np.nan, 3.0
+    cases["nan after max"] = mixed
+    for name, logits in cases.items():
+        logits = logits.astype(dtype)
+        labels = cli.class_labels(logits)
+        expected = np.argmax(logits, axis=1)
+        assert labels.dtype == expected.dtype, name
+        assert labels.tobytes() == expected.tobytes(), name
+    # a strided input and more classes than fit in four bits
+    wide = gen.standard_normal((1, 40, 3, 4, 5)).astype(dtype)[:, ::2]
+    assert cli.class_labels(wide).tobytes() == np.argmax(wide, axis=1).tobytes()
+
+
 class TestEnsembleSelect:
     def _write_inputs(self, tmp_path, n_models=2):
         stats = {

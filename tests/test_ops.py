@@ -279,9 +279,9 @@ def test_model_grids_up_to_16_cubed_take_one_slab(monkeypatch):
     seen = []
     accumulate = ops._accumulate
 
-    def spy(af, offsets, L, plane, c_out, term):
-        seen.append((af.shape[0], af.shape[1], c_out, af.itemsize, plane, L))
-        return accumulate(af, offsets, L, plane, c_out, term)
+    def spy(af, offsets, out, plane, slab_taps):
+        seen.append((af.shape[0], af.shape[1], out.shape[1], af.itemsize, plane, out.shape[2]))
+        return accumulate(af, offsets, out, plane, slab_taps)
 
     monkeypatch.setattr(ops, "_accumulate", spy)
     configs = ["mbconv-base-toy", "baseline-toy",
@@ -302,6 +302,90 @@ def test_model_grids_up_to_16_cubed_take_one_slab(monkeypatch):
         assert ops._slab(n, c_in, c_out, itemsize, plane) >= L
     for c in sorted({c for cfg in PRESETS.values() for w in cfg.widths for c in (w, 4 * w)}):
         assert ops._slab(1, c, c, 8, 17 * 17) >= 16 * 17 * 17
+
+
+class TestConvBoundary:
+    """The checks that run before the conv kernels hand pointers to BLAS."""
+
+    def _data(self, dtype=np.float32):
+        gen = _gen("boundary")
+        x = gen.standard_normal((1, 3, 4, 5, 6)).astype(dtype)
+        w = gen.standard_normal((2, 3, 3, 3, 3)).astype(dtype)
+        dy = gen.standard_normal((1, 2, 4, 5, 6)).astype(dtype)
+        return x, w, dy
+
+    def test_mixed_precisions_are_refused(self):
+        x, w, dy = self._data()
+        for args in ((x, w.astype(np.float64)), (x.astype(np.float64), w)):
+            with pytest.raises(TypeError):
+                ops.conv3d(*args)
+        with pytest.raises(TypeError):
+            ops.conv3d_bwd(x, w, dy.astype(np.float64), False)
+        with pytest.raises(TypeError):
+            ops.conv3d_bwd(x.astype(np.float64), w, dy, False)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.float16])
+    def test_other_dtypes_are_refused(self, dtype):
+        x, w, dy = (a.astype(dtype) for a in self._data())
+        with pytest.raises(TypeError):
+            ops.conv3d(x, w)
+        with pytest.raises(TypeError):
+            ops.conv3d_bwd(x, w, dy, False)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_non_contiguous_input(self, dtype):
+        x, w, dy = self._data(dtype)
+        wide = np.zeros(x.shape[:4] + (2 * x.shape[4],), dtype=dtype)
+        wide[..., ::2] = x
+        strided = wide[..., ::2]
+        assert not strided.flags.c_contiguous
+        assert _same_bits(ops.conv3d(strided, w), ops.conv3d(x, w))
+        assert _same_bits(ops.conv3d(strided, w), _loops_conv3d(x, w))
+        dx, dw, _ = ops.conv3d_bwd(strided, w, dy, False)
+        dx_contiguous, dw_contiguous, _ = ops.conv3d_bwd(x, w, dy, False)
+        assert _same_bits(dx, dx_contiguous) and _same_bits(dw, dw_contiguous)
+
+    def test_a_window_past_the_padded_grid_is_refused(self):
+        x, w, _ = self._data()
+        af, offsets, L, plane = ops._windows(x, 3)
+        taps = w.reshape(2, 3, -1).transpose(2, 0, 1)
+        assert _same_bits(ops._correlate(af, offsets, L, plane, taps),
+                          ops._correlate(af.copy(), offsets, L, plane, taps))
+        with pytest.raises(ValueError):
+            ops._correlate(af, offsets[:-1] + [af.shape[2] - L + 1], L, plane, taps)
+        with pytest.raises(ValueError):
+            ops._correlate(af[:, :, :-1], offsets, L, plane, taps)
+        with pytest.raises(ValueError):
+            ops._correlate(af, offsets, L, plane, taps[:-1])
+
+    def test_missing_blas_names_numpys_blas(self, monkeypatch):
+        class NoSymbols:
+            def __init__(self, path):
+                pass
+
+            def __getattr__(self, name):
+                raise AttributeError(name)
+
+        monkeypatch.setattr(ops.ctypes, "CDLL", NoSymbols)
+        with pytest.raises(ImportError, match="numpy's own BLAS"):
+            ops._bind_gemm()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("ci,co", [(3, 1), (16, 1), (64, 1), (1, 3), (1, 16), (1, 64)])
+def test_one_output_channel_within_8_eps_of_the_loops(dtype, ci, co):
+    # numpy's matmul computes a product with one row as a matrix-vector
+    # product (gemv), whose rounding depends on the matrix it is handed:
+    # the loops' contiguous patch and the kernel's padded window differ by
+    # a few eps, as a single-voxel grid does in test_conv3d_channels
+    gen = _gen("gemv", str(dtype), str(ci), str(co))
+    x = gen.standard_normal((2, ci, 6, 7, 5)).astype(dtype)
+    w = gen.standard_normal((co, ci, 3, 3, 3)).astype(dtype)
+    dy = gen.standard_normal((2, co, 6, 7, 5)).astype(dtype)
+    eps = np.finfo(dtype).eps
+    assert verify._rel(ops.conv3d(x, w), _loops_conv3d(x, w)) <= 8 * eps
+    dx = ops.conv3d_bwd(x, w, dy, False)[0]
+    assert verify._rel(dx, _loops_conv3d_bwd(x, w, dy)[0]) <= 8 * eps
 
 
 class TestPointwise:

@@ -61,6 +61,8 @@ which a forward without a tape never does.
 """
 
 import ctypes
+import functools
+import math
 
 import numpy as np
 
@@ -323,18 +325,36 @@ def depthwise_conv3d(x, w):
 
 
 def depthwise_conv3d_bwd(x, w, dy):
-    c, k = x.shape[1], w.shape[2]
+    n, c, k = x.shape[0], x.shape[1], w.shape[2]
     taps = w.reshape(c, -1, 1).transpose(1, 0, 2)
     dyf, offsets, L, plane = _windows(dy, k)
     centre = offsets[len(offsets) // 2]
-    dyg = dyf[:, :, centre:centre + L, None]
+    dyg = dyf[:, :, None, None, None, centre:centre + L, None]
     xf = _windows(x, k)[0]
-    dw = np.stack([np.matmul(xf[:, :, None, off:off + L], dyg)[:, :, 0, 0].sum(axis=0)
-                   for off in offsets], axis=-1)
-    del xf
+    # the view below reads up to the end of the last tap's window
+    if max(offsets) + L > xf.shape[-1]:
+        raise ValueError("tap windows do not fit the padded grid %r" % (xf.shape,))
+    # (n, c, dz, dy, dx, 1, L): every tap's window over padded x, one 1 x L
+    # row each, so one matmul makes the same 1 x L by L x 1 dot per tap
+    # that a matmul per tap makes
+    item, wp = xf.itemsize, x.shape[4] + k // 2
+    wins = np.lib.stride_tricks.as_strided(
+        xf, (n, c, k, k, k, 1, L), xf.strides[:2] + (plane * item, wp * item, item, 0, item),
+        writeable=False)
+    dw = np.matmul(wins, dyg)[..., 0, 0].sum(axis=0)
+    del xf, wins
     dx = _sum_products(np.multiply, dyf, offsets[::-1], L, plane, taps)
     del dyf, dyg
     return _crop(dx, x.shape[2:], k), dw.reshape(w.shape)
+
+
+def _mean(a, axes):
+    """``a.mean(axis=axes, keepdims=True)`` bit for bit: the sum and the
+    division by an intp count that numpy's mean makes, without its Python
+    wrapper."""
+    s = np.add.reduce(a, axis=axes, keepdims=True)
+    count = math.prod(a.shape[axis] for axis in axes)
+    return np.true_divide(s, np.intp(count), out=s, casting="unsafe")
 
 
 def group_norm(x, gamma, beta, group_size, eps=1e-5):
@@ -352,9 +372,9 @@ def group_norm(x, gamma, beta, group_size, eps=1e-5):
     axes = (2, 3, 4, 5)
     xg = x.reshape((n, g, group_size) + x.shape[2:])
     # the passes np.var makes, with the centred input kept for xhat
-    d = xg - xg.mean(axis=axes, keepdims=True)
+    d = xg - _mean(xg, axes)
     sq = d * d
-    rstd = 1.0 / np.sqrt(sq.mean(axis=axes, keepdims=True) + x.dtype.type(eps))
+    rstd = 1.0 / np.sqrt(_mean(sq, axes) + x.dtype.type(eps))
     xhat = np.multiply(d, rstd, out=d).reshape(x.shape)
     out = np.multiply(gamma.reshape(1, c, 1, 1, 1), xhat, out=sq.reshape(x.shape))
     out += beta.reshape(1, c, 1, 1, 1)
@@ -370,9 +390,9 @@ def group_norm_bwd(xhat, rstd, gamma, dy, group_size):
     dbeta = dy.sum(axis=(0, 2, 3, 4))
     dxhat = (dy * gamma.reshape(1, c, 1, 1, 1)).reshape(inner)
     xh = xhat.reshape(inner)
-    m1 = dxhat.mean(axis=axes, keepdims=True)
+    m1 = _mean(dxhat, axes)
     prod = dxhat * xh
-    m2 = prod.mean(axis=axes, keepdims=True)
+    m2 = _mean(prod, axes)
     # rstd * (dxhat - m1 - xh * m2), evaluated in the two buffers above
     dx = np.subtract(dxhat, m1, out=dxhat)
     dx -= np.multiply(xh, m2, out=prod)
@@ -444,8 +464,12 @@ def maxpool3d_bwd(idx, in_shape, dy):
     return dx
 
 
+@functools.lru_cache(maxsize=None)
 def _upsample_matrix(m, dtype):
-    """(2m, m) interpolation weights for scale-2, align-corners=false."""
+    """(2m, m) interpolation weights for scale-2, align-corners=false.
+
+    Built once per (m, dtype) and shared by every later call, so read-only.
+    """
     mat = np.zeros((2 * m, m), dtype=dtype)
     for i in range(2 * m):
         src = (i + 0.5) / 2.0 - 0.5
@@ -453,6 +477,7 @@ def _upsample_matrix(m, dtype):
         frac = src - lo
         mat[i, min(max(lo, 0), m - 1)] += 1.0 - frac
         mat[i, min(max(lo + 1, 0), m - 1)] += frac
+    mat.flags.writeable = False
     return mat
 
 

@@ -4,6 +4,22 @@ differences, and store-all vs reversible gradient equivalence.
 Relative errors are |a - b| / max(|a|, |b|, floor) per coordinate; the
 floor keeps coordinates whose true gradient is below measurement noise
 from dominating. Every suite is deterministic given its seed.
+
+fd_network_suite re-runs only what a probe changes. Each probe moves one
+parameter scalar, so most leaf nodes see the same input and parameters
+as in the unperturbed forward. On entry, _reuse_unchanged runs one
+forward without a tape and records, per leaf, its input, the bytes of its
+parameters and its output. Until it exits, a leaf forward without a tape
+returns that recorded output when its input and every parameter array
+are byte-equal to the recorded ones (so -0 differs from +0 and NaN
+payloads count); any other leaf forward runs as usual. The ops are
+deterministic, so a recorded output is bitwise what running the leaf
+again would give, and every perturbed forward equals a full one bit for
+bit: the report does not change. A leaf handed a tape never reads the
+records, so every saved context is computed afresh; under the reversible
+strategy F and G run without one even in a taped forward, and may reuse
+records, which holds the same bits. No node keeps any of them once the
+context has exited.
 """
 
 import contextlib
@@ -203,9 +219,7 @@ def fd_primitive_suite(seed, tol=1e-6, coords_per_op=120):
     beta = gen.standard_normal(4)
     run("groupnorm", [xg, gamma, beta],
         lambda: ops.group_norm(xg, gamma, beta, group_size=2)[0],
-        lambda r: ops.group_norm_bwd(ops.group_norm(xg, gamma, beta, 2)[1],
-                                     ops.group_norm(xg, gamma, beta, 2)[2],
-                                     gamma, r, 2))
+        lambda r: ops.group_norm_bwd(*ops.group_norm(xg, gamma, beta, 2)[1:], gamma, r, 2))
 
     # keep inputs away from the kink so central differences are valid
     xr = (gen.uniform(0.2, 1.0, (1, 2, 5, 5, 5))
@@ -249,7 +263,61 @@ def fd_network_suite(seed, samples=220, tol=1e-5):
     def scalar():
         return float((model.forward(x, None) * probe).sum())
 
-    return _fd_check("fd.network", scalar, arrays, analytic, tol, gen, samples)
+    with _reuse_unchanged(model, x):
+        return _fd_check("fd.network", scalar, arrays, analytic, tol, gen, samples)
+
+
+def _same_bytes(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@contextlib.contextmanager
+def _reuse_unchanged(model, x):
+    """Leaf forwards without a tape reuse the output of a baseline forward of
+    ``model`` on ``x`` while their input and parameters are byte-equal to it.
+
+    Each leaf gets a ``forward`` instance attribute for the duration, which
+    shadows its class's method and is deleted on exit. The recorded inputs
+    and outputs are held by reference and read-only until exit, so an input
+    that is a recorded one by identity has not changed; any other input is
+    compared by bytes. Arrays this marks read-only are writable again after.
+    """
+    records = {}
+    frozen = []
+
+    def freeze(a):
+        if a.flags.writeable:
+            a.flags.writeable = False
+            frozen.append(a)
+        return a
+
+    def reuse(leaf):
+        def forward(x, tape):
+            if tape is None:
+                params = [arr.tobytes() for _, arr in leaf.param_items()]
+                seen = records.get(leaf)
+                if seen is None:
+                    y = type(leaf).forward(leaf, freeze(x), tape)
+                    records[leaf] = (x, params, freeze(y))
+                    return y
+                x0, params0, y0 = seen
+                if params == params0 and (x is x0 or _same_bytes(x, x0)):
+                    return y0
+            return type(leaf).forward(leaf, x, tape)
+        return forward
+
+    leaves = list(model.leaves())
+    try:
+        for leaf in leaves:
+            leaf.forward = reuse(leaf)
+        model.forward(x, None)
+        yield
+    finally:
+        for leaf in leaves:
+            vars(leaf).pop("forward", None)
+        # owners before views: a view can be writable only over a writable base
+        for a in sorted(frozen, key=lambda a: a.base is not None):
+            a.flags.writeable = True
 
 
 def strategy_equivalence_suite(seed, tol=1e-10):

@@ -447,6 +447,44 @@ class TestDepthwise:
         assert _same_bits(out, _loops_depthwise(x, w)) and np.signbit(out).all()
 
 
+def _per_tap_depthwise_dw(x, w, dy):
+    # the weight gradient as one matmul per tap, each a 1 x L by L x 1 dot
+    k = w.shape[2]
+    dyf, offsets, L, _ = ops._windows(dy, k)
+    centre = offsets[len(offsets) // 2]
+    dyg = dyf[:, :, centre:centre + L, None]
+    xf = ops._windows(x, k)[0]
+    return np.stack([np.matmul(xf[:, :, None, off:off + L], dyg)[:, :, 0, 0].sum(axis=0)
+                     for off in offsets], axis=-1).reshape(w.shape)
+
+
+class TestDepthwiseWeightGradient:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("shape", [(3, 5, 7), (1, 1, 1), (5, 3, 9), (9, 9, 9)])
+    def test_equals_the_per_tap_loop_bitwise(self, dtype, n, k, shape):
+        gen = _gen("dw-grad", str(dtype), str(n), str(k), str(shape))
+        x = gen.standard_normal((n, 3) + shape).astype(dtype)
+        w = gen.standard_normal((3, 1, k, k, k)).astype(dtype)
+        dy = gen.standard_normal((n, 3) + shape).astype(dtype)
+        assert _same_bits(ops.depthwise_conv3d_bwd(x, w, dy)[1], _per_tap_depthwise_dw(x, w, dy))
+
+    def test_a_window_past_the_padded_grid_is_refused(self, monkeypatch):
+        gen = _gen("dw-guard")
+        x, dy = gen.standard_normal((2, 1, 3, 4, 5, 6))
+        w = gen.standard_normal((3, 1, 3, 3, 3))
+        windows = ops._windows
+
+        def short(a, k):
+            af, offsets, L, plane = windows(a, k)
+            return af[:, :, :offsets[-1] + L - 1], offsets, L, plane
+
+        monkeypatch.setattr(ops, "_windows", short)
+        with pytest.raises(ValueError, match="tap windows"):
+            ops.depthwise_conv3d_bwd(x, w, dy)
+
+
 class TestSeparability:
     def test_factorized_equals_standard_double(self):
         gen = _gen("sep")
@@ -508,6 +546,14 @@ class TestGroupNorm:
         back = ops.group_norm_bwd(fast[1], fast[2], gamma, dy, group_size)
         ref_back = _np_var_group_norm_bwd(ref[1], ref[2], gamma, dy, group_size)
         assert all(_same_bits(a, b) for a, b in zip(back, ref_back))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(1, 1, 4, 8, 8, 8), (1, 3, 10, 4, 4, 4),
+                                       (2, 2, 8, 5, 6, 7), (1, 1, 16, 16, 16, 16)])
+    def test_mean_equals_ndarray_mean_bitwise(self, dtype, shape):
+        a = (_gen("gn-mean", str(dtype), str(shape)).standard_normal(shape) * 5.0 + 2.0).astype(dtype)
+        axes = (2, 3, 4, 5)
+        assert _same_bits(ops._mean(a, axes), a.mean(axis=axes, keepdims=True))
 
     def test_constant_input_zero_output(self):
         x = np.full((1, 4, 2, 2, 2), 3.7)
@@ -677,6 +723,14 @@ class TestMaxPool:
 
 
 class TestUpsample:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_interpolation_weights_are_shared_read_only(self, dtype):
+        mat = ops._upsample_matrix(5, np.dtype(dtype))
+        assert mat.shape == (10, 5) and mat.dtype == dtype and not mat.flags.writeable
+        assert ops._upsample_matrix(5, np.dtype(dtype)) is mat
+        with pytest.raises(ValueError):
+            mat[0, 0] = 1.0
+
     def test_constant(self):
         x = np.full((1, 2, 2, 2, 2), 1.5)
         out = ops.trilinear_upsample(x)

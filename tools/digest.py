@@ -14,11 +14,15 @@ input gradient, every parameter and parameter gradient, and
 final parameters of a 4-step `training.train` under each strategy; the
 `metrics.jsonl` of holdout runs that stop on steps, on
 epochs, and on epochs with steps also given; the JSON of
-`gradcheck_report("mbconv-base", s)` for s in {0, 5, 30}; and the JSON of
+`gradcheck_report("mbconv-base", s)` for s in {0, 5, 30}; the JSON of
+`fd_network_suite(s, samples=60)` for s in {88, 105}, whose kink
+replacements draw extra probes; the JSON of `gradcheck_report("mbconv-base",
+0, corrupt=op)` for every op of `verify._CORRUPT_TARGETS`; and the JSON of
 `claims_report("single")`. It drives the package only through `build`,
 `Tape(ledger)`, `parameters()`, `training.train`, `gradcheck_report`,
-`claims_report` and the model's forward and backward, which earlier
-commits share, so the same script runs on both sides of a change.
+`fd_network_suite`, `_CORRUPT_TARGETS`, `claims_report` and the model's
+forward and backward, which earlier commits share, so the same script runs
+on both sides of a change.
 """
 
 import hashlib
@@ -32,6 +36,7 @@ import numpy as np
 STRATEGIES = ("store-all", "reversible")
 PRECISIONS = ("single", "double")
 GRADCHECK_SEEDS = (0, 5, 30)
+KINK_SEEDS = (88, 105)
 
 
 class _Digest:
@@ -100,6 +105,10 @@ def _metrics_entry(training, phantoms, unet, **stop):
             return hashlib.sha256(f.read()).hexdigest()
 
 
+def _json_entry(doc):
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
 def digest():
     from revunet import engine, memplan, phantoms, training, unet, verify
 
@@ -116,11 +125,13 @@ def digest():
                         ("both", {"steps": 3, "epochs": 1})):
         out["metrics/%s" % label] = _metrics_entry(training, phantoms, unet, **stop)
     for seed in GRADCHECK_SEEDS:
-        report = verify.gradcheck_report("mbconv-base", seed)
-        out["gradcheck/%d" % seed] = hashlib.sha256(
-            json.dumps(report, sort_keys=True).encode()).hexdigest()
-    out["claims/single"] = hashlib.sha256(
-        json.dumps(memplan.claims_report("single"), sort_keys=True).encode()).hexdigest()
+        out["gradcheck/%d" % seed] = _json_entry(verify.gradcheck_report("mbconv-base", seed))
+    for seed in KINK_SEEDS:
+        out["fd-network/%d" % seed] = _json_entry(verify.fd_network_suite(seed, samples=60))
+    for op in sorted(verify._CORRUPT_TARGETS):
+        out["gradcheck/0/corrupt/%s" % op] = _json_entry(
+            verify.gradcheck_report("mbconv-base", 0, corrupt=op))
+    out["claims/single"] = _json_entry(memplan.claims_report("single"))
     return out
 
 

@@ -97,13 +97,13 @@ def cmd_phantoms(args):
 def cmd_train(args):
     if (args.steps is None) == (args.epochs is None):
         raise ValueError("give exactly one of --steps or --epochs")
-    pairs, _ = phantoms.read_corpus(args.data)
+    config = resolve_config(args.config)
+    pairs, _ = phantoms.read_corpus(args.data, config.num_classes)
     if not 0 <= args.holdout < len(pairs):
         raise ValueError("holdout %d must be in [0, %d), the corpus size"
                          % (args.holdout, len(pairs)))
     split = len(pairs) - args.holdout
     train_pairs, holdout_pairs = pairs[:split], pairs[split:]
-    config = resolve_config(args.config)
     schedule = LrSchedule(base_lr=args.base_lr) if args.base_lr is not None else None
     os.makedirs(args.out, exist_ok=True)
     started = time.time()
@@ -166,6 +166,13 @@ def cmd_segment(args):
     if volume.shape[1] != model.config.in_ch:
         raise ShapeError("volume has %d channels, model expects %d"
                          % (volume.shape[1], model.config.in_ch))
+    truth = None
+    if args.labels:
+        # checked before the model runs, so bad labels leave no output file
+        truth = phantoms.read_labels(args.labels, model.config.num_classes)
+        if truth.shape != volume.shape[2:]:
+            raise ShapeError("reference labels %r do not match volume %r"
+                             % (truth.shape, volume.shape[2:]))
     volume = volume.astype(model.dtype, copy=False)
     padded, record = pad_to_grid(volume, model.config.levels)
     logits = crop_to_record(model.forward(padded, None), record)
@@ -182,11 +189,7 @@ def cmd_segment(args):
         "class_voxels": [int((labels == c).sum())
                          for c in range(model.config.num_classes)],
     }
-    if args.labels:
-        truth = tensor_read(args.labels)[0, 0].astype(np.int32)
-        if truth.shape != labels.shape:
-            raise ShapeError("reference labels %r do not match volume %r"
-                             % (truth.shape, labels.shape))
+    if truth is not None:
         per_class = per_class_dice(labels, truth, model.config.num_classes)
         report["dice"] = per_class
         report["mean_dice"] = sum(per_class) / len(per_class)

@@ -11,12 +11,13 @@ The k x k x k convolutions share one layout: the input is zero-padded once
 and flattened, with neighbouring rows and planes sharing their padding, so
 each tap's window over the whole (d, h + r, w + r) grid is one contiguous
 slice, and results are cropped from that grid. Forward and input gradient
-walk the grid in slabs of whole planes and add all k**3 taps into one slab
-before the next, so a slab's rows stay in cache instead of k**3 passes over
-the whole grid. A slab is as many planes as fit SLAB_BYTES at the kernel's
-channel counts and itemsize, but at least MIN_SLAB voxels; a grid that fits
-is one slab, which covers every grid of at most 16^3 for k = 3. The input
-gradient is the same correlation over padded dy with mirrored taps.
+run one slab loop: the grid is cut into a list of slabs of whole planes,
+and each slab takes all k**3 taps in (dz, dy, dx) order before the next,
+so a slab's rows stay in cache instead of k**3 passes over the whole grid.
+A slab is as many planes as fit SLAB_BYTES at the kernel's channel counts
+and itemsize, but at least MIN_SLAB voxels; a grid that fits is one slab,
+which covers every grid of at most 16^3 for k = 3. The input gradient is
+the same correlation over padded dy with mirrored taps.
 
 The standard conv makes one BLAS ?gemm call per tap, slab and sample,
 C = A B + beta C, straight into the output slab: beta = 0 for the first
@@ -33,8 +34,8 @@ OpenBLAS k-block: bitwise at c_in <= 384 in both precisions, while from
 computes a product with one row or one column as a matrix-vector product
 (gemv), which rounds unlike gemm, so a conv with one output channel (for
 the input gradient: one input channel), or whose last slab has one
-column, takes np.matmul plus an add per tap instead, through the same
-product-and-add walker as the depthwise kernels' elementwise multiply.
+column, takes np.matmul plus an add per tap instead, in the same slab
+loop as the depthwise kernels' elementwise multiply.
 
 Within a slab each output element thus adds one product per tap in
 offset-major (dz, dy, dx) order, whatever the slab size, so forward and
@@ -45,10 +46,18 @@ always qualify). One exception: numpy hands an F-contiguous matrix to
 gemm transposed, which can take another kernel with other rounding, so
 the input gradient of a k = 1 conv, whose loop multiplies by w.T as is,
 matches such a loop only to rounding; models run k = 1 convolutions
-through pointwise_conv3d. The weight gradient is reduced over the whole
-padded grid, whose extra columns are zero, so it matches such a loop only
-to rounding. Every accumulation order is fixed, so repeated runs are
-bitwise identical.
+through pointwise_conv3d.
+
+Both weight gradients read one tap view: a read-only (n, c, k, k, k, L)
+strided view of padded x whose [dz, dy, dx] entry is that tap's window,
+refused before it is formed unless the last window ends inside the padded
+array. One batched np.matmul of the view against dy's centre window makes,
+per sample and tap, the call a matmul per tap makes, with the same
+strides: a (c_out, L) by (L, c_in) product for the standard conv, a 1 x L
+by L x 1 dot per channel for the depthwise one. So dw equals that per-tap
+loop bitwise. Its sums run over the whole padded grid, whose extra
+columns are zero, so it matches the offset-major loops only to rounding.
+Every accumulation order is fixed, so repeated runs are bitwise identical.
 
 Max pooling reduces each 2x2x2 window by three np.maximum calls over slot
 pairs: along w, then h, then d, always with the earlier slot as the
@@ -79,7 +88,7 @@ def group_size_for(c):
     return 10 if c % 10 == 0 else c
 
 
-def _check_kernel(x, w):
+def _check_kernel(w):
     if w.ndim != 5 or w.shape[2] != w.shape[3] or w.shape[2] != w.shape[4]:
         raise ShapeError("kernel must be rank-5 with cubic spatial dims, got %r" % (w.shape,))
     if w.shape[2] % 2 == 0:
@@ -121,23 +130,26 @@ def _slab(n, c_in, c_out, itemsize, plane):
     return planes * plane
 
 
-def _accumulate(af, offsets, out, plane, slab_taps):
-    """Sum the taps in order into the (n, c_out, L) grid ``out``, slab by slab.
+def _slabs(n, c_in, c_out, itemsize, plane, L):
+    """The [s0, s1) voxel ranges the tap loop takes in turn over a grid of L voxels."""
+    step = _slab(n, c_in, c_out, itemsize, plane)
+    return [(s0, min(s0 + step, L)) for s0 in range(0, L, step)]
 
-    ``slab_taps(s0, s1)`` returns ``add_tap(i, a0)`` for grid voxels
-    [s0, s1): it writes tap i's term into ``out[:, :, s0:s1]`` when i == 0
-    and adds it there otherwise, the window being ``af[:, :, a0:a0 + s1 -
-    s0]``. Each slab takes all taps before the next starts.
+
+def _tap_windows(a, k):
+    """Read-only (n, c, k, k, k, L) view of ``a`` padded by _windows.
+
+    Entry [:, :, dz, dy, dx] is tap (dz, dy, dx)'s window over the whole
+    grid: the slice _windows describes, with the same strides.
     """
-    n, c_in = af.shape[:2]
-    c_out, L = out.shape[1:]
-    step = _slab(n, c_in, c_out, af.itemsize, plane)
-    for s0 in range(0, L, step):
-        s1 = min(s0 + step, L)
-        add_tap = slab_taps(s0, s1)
-        for i, off in enumerate(offsets):
-            add_tap(i, off + s0)
-    return out
+    af, offsets, L, plane = _windows(a, k)
+    # the view reads up to the end of the last tap's window
+    if max(offsets) + L > af.shape[-1]:
+        raise ValueError("tap windows do not fit the padded grid %r" % (af.shape,))
+    item, wp = af.itemsize, a.shape[4] + k // 2
+    return np.lib.stride_tricks.as_strided(
+        af, af.shape[:2] + (k, k, k, L), af.strides[:2] + (plane * item, wp * item, item, item),
+        writeable=False)
 
 
 def _bind_gemm():
@@ -181,7 +193,8 @@ def _correlate(af, offsets, L, plane, taps):
             and taps.shape == (len(offsets), c_out, c_in) and max(offsets) + L <= row):
         raise ValueError("tap windows do not fit the padded %s grid %r" % (af.dtype, af.shape))
     item = af.itemsize
-    if c_out == 1 or (L - 1) % _slab(n, c_in, c_out, item, plane) == 0:
+    slabs = _slabs(n, c_in, c_out, item, plane, L)
+    if c_out == 1 or slabs[-1][1] - slabs[-1][0] == 1:
         # a tap product with one row, or a slab of one column: numpy's matmul
         # computes those as a matrix-vector product, as in the loop oracle
         return _sum_products(np.matmul, af, offsets, L, plane, taps)
@@ -195,22 +208,18 @@ def _correlate(af, offsets, L, plane, taps):
     alpha, betas = scalar(1), (scalar(0), scalar(1))
     # set in place before each call, which costs less than new ctypes objects
     cols, a, b = ctypes.c_int64(), ctypes.c_void_p(), ctypes.c_void_p()
-
-    def slab_taps(s0, s1):
+    for s0, s1 in slabs:
         cols.value = s1 - s0
         # (start of sample j's rows in af, its output slab)
         samples = [(b_ptr + j * c_in * row * item,
                     ctypes.c_void_p(c_ptr + (j * c_out * L + s0) * item)) for j in range(n)]
-
-        def add_tap(i, a0):
+        for i, off in enumerate(offsets):
             a.value, beta = a_ptr + i * tap_bytes, betas[i > 0]
             for b0, c in samples:
-                b.value = b0 + a0 * item
+                b.value = b0 + (off + s0) * item
                 gemm(_ROW_MAJOR, _NO_TRANS, _NO_TRANS, m, cols, k,
                      alpha, a, lda, b, ldb, beta, c, ldc)
-        return add_tap
-
-    return _accumulate(af, offsets, out, plane, slab_taps)
+    return out
 
 
 def _sum_products(product, af, offsets, L, plane, taps):
@@ -221,22 +230,16 @@ def _sum_products(product, af, offsets, L, plane, taps):
     """
     n, c_in = af.shape[:2]
     c_out = taps.shape[1]
+    slabs = _slabs(n, c_in, c_out, af.itemsize, plane, L)
     out = np.empty((n, c_out, L), dtype=af.dtype)
-    buf = np.empty((n, c_out, min(_slab(n, c_in, c_out, af.itemsize, plane), L)), dtype=af.dtype)
-
-    def slab_taps(s0, s1):
-        acc, part, cols = out[:, :, s0:s1], buf[:, :, :s1 - s0], s1 - s0
-
-        def add_tap(i, a0):
-            # out arrays passed by position: cheaper than the keyword per call
-            win = af[:, :, a0:a0 + cols]
-            if i:
-                np.add(acc, product(taps[i], win, part), acc)
-            else:
-                product(taps[0], win, acc)
-        return add_tap
-
-    return _accumulate(af, offsets, out, plane, slab_taps)
+    buf = np.empty((n, c_out, slabs[0][1]), dtype=af.dtype)
+    for s0, s1 in slabs:
+        acc, part = out[:, :, s0:s1], buf[:, :, :s1 - s0]
+        # out arrays passed by position: cheaper than the keyword per call
+        product(taps[0], af[:, :, offsets[0] + s0:offsets[0] + s1], acc)
+        for tap, off in zip(taps[1:], offsets[1:]):
+            np.add(acc, product(tap, af[:, :, off + s0:off + s1], part), acc)
+    return out
 
 
 def _crop(grid, shape, k):
@@ -256,7 +259,7 @@ def _check_dtypes(*arrays):
 
 def conv3d(x, w, b=None):
     """Standard 3D convolution, stride 1, zero 'same' padding."""
-    _check_kernel(x, w)
+    _check_kernel(w)
     _check_dtypes(x, w)
     ci = x.shape[1]
     co, ci_k, k = w.shape[:3]
@@ -276,17 +279,17 @@ def conv3d_bwd(x, w, dy, has_bias):
     # the centre window is dy on the grid, zero in the columns the crop drops
     centre = offsets[len(offsets) // 2]
     dyg = dyf[:, :, centre:centre + L]
-    xf = _windows(x, k)[0]
-    dw = np.stack([np.matmul(dyg, xf[:, :, off:off + L].transpose(0, 2, 1)).sum(axis=0)
-                   for off in offsets], axis=-1)
+    wins = _tap_windows(x, k)
+    # one (co, L) by (L, ci) product per sample and tap, as a matmul per tap makes
+    dw = np.matmul(dyg[:, None, None, None], wins.transpose(0, 2, 3, 4, 5, 1)).sum(axis=0)
     # each padded grid is freed as soon as it is done with, before the next
     # full-grid array is allocated: this bounds the backward's peak memory
-    del xf
+    del wins
     # the adjoint is the same correlation over padded dy, with mirrored taps
     dx = _correlate(dyf, offsets[::-1], L, plane, w.reshape(co, ci, -1).transpose(2, 1, 0))
     del dyf, dyg
     db = dy.sum(axis=(0, 2, 3, 4)) if has_bias else None
-    return _crop(dx, x.shape[2:], k), dw.reshape(w.shape), db
+    return _crop(dx, x.shape[2:], k), np.ascontiguousarray(dw.transpose(3, 4, 0, 1, 2)), db
 
 
 def pointwise_conv3d(x, w, b=None):
@@ -314,7 +317,7 @@ def pointwise_conv3d_bwd(x, w, dy, has_bias):
 
 def depthwise_conv3d(x, w):
     """Per-channel spatial convolution; channel i of the output sees only channel i."""
-    _check_kernel(x, w)
+    _check_kernel(w)
     c, k = x.shape[1], w.shape[2]
     if w.shape[0] != c or w.shape[1] != 1:
         raise ShapeError("depthwise kernel mismatch: input %d channels, kernel %r"
@@ -325,24 +328,15 @@ def depthwise_conv3d(x, w):
 
 
 def depthwise_conv3d_bwd(x, w, dy):
-    n, c, k = x.shape[0], x.shape[1], w.shape[2]
+    c, k = x.shape[1], w.shape[2]
     taps = w.reshape(c, -1, 1).transpose(1, 0, 2)
     dyf, offsets, L, plane = _windows(dy, k)
     centre = offsets[len(offsets) // 2]
     dyg = dyf[:, :, None, None, None, centre:centre + L, None]
-    xf = _windows(x, k)[0]
-    # the view below reads up to the end of the last tap's window
-    if max(offsets) + L > xf.shape[-1]:
-        raise ValueError("tap windows do not fit the padded grid %r" % (xf.shape,))
-    # (n, c, dz, dy, dx, 1, L): every tap's window over padded x, one 1 x L
-    # row each, so one matmul makes the same 1 x L by L x 1 dot per tap
-    # that a matmul per tap makes
-    item, wp = xf.itemsize, x.shape[4] + k // 2
-    wins = np.lib.stride_tricks.as_strided(
-        xf, (n, c, k, k, k, 1, L), xf.strides[:2] + (plane * item, wp * item, item, 0, item),
-        writeable=False)
-    dw = np.matmul(wins, dyg)[..., 0, 0].sum(axis=0)
-    del xf, wins
+    # one 1 x L by L x 1 dot per sample, channel and tap, as a matmul per tap makes
+    wins = _tap_windows(x, k)
+    dw = np.matmul(wins[..., None, :], dyg)[..., 0, 0].sum(axis=0)
+    del wins
     dx = _sum_products(np.multiply, dyf, offsets[::-1], L, plane, taps)
     del dyf, dyg
     return _crop(dx, x.shape[2:], k), dw.reshape(w.shape)
@@ -498,7 +492,5 @@ def trilinear_upsample_bwd(dy, in_shape):
     # linear map, so the VJP is the transpose applied in reverse axis order
     dx = dy
     for axis in (4, 3, 2):
-        mat = _upsample_matrix(in_shape[axis], dy.dtype)
-        moved = np.moveaxis(dx, axis, -1)
-        dx = np.moveaxis(np.matmul(moved, mat), -1, axis)
+        dx = _apply_axis(dx, _upsample_matrix(in_shape[axis], dy.dtype).T, axis)
     return np.ascontiguousarray(dx)

@@ -257,13 +257,30 @@ def write_corpus(path, count, size, seed):
     return index
 
 
-def read_corpus(path):
+def read_labels(path, classes=NUM_CLASSES):
+    """Read an RVT1 label map of shape (1, 1, d, h, w) -> (d, h, w) int32.
+
+    Every value must be an integer class in [0, classes); anything else is
+    refused with ValueError rather than truncated or wrapped.
+    """
+    data = tensor_read(path)
+    if data.shape[:2] != (1, 1):
+        raise ValueError("label map %s must be (1, 1, d, h, w), got %r" % (path, data.shape))
+    lab = data[0, 0]
+    if lab.min() < 0 or lab.max() >= classes:
+        raise ValueError("label map %s holds values outside the classes [0, %d)" % (path, classes))
+    labels = lab.astype(np.int32)
+    if not np.array_equal(labels, lab):
+        raise ValueError("label map %s holds values that are not integers" % path)
+    return labels
+
+
+def read_corpus(path, classes=NUM_CLASSES):
     """Load a stored corpus; returns (list of (volume, labels), index doc)."""
     with open(os.path.join(path, "index.json")) as f:
         index = json.load(f)
     pairs = []
     for item in index["items"]:
         vol = tensor_read(os.path.join(path, item["volume"]))
-        lab = tensor_read(os.path.join(path, item["labels"]))[0, 0].astype(np.int32)
-        pairs.append((vol, lab))
+        pairs.append((vol, read_labels(os.path.join(path, item["labels"]), classes)))
     return pairs, index

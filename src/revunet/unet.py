@@ -28,6 +28,11 @@ from .tensor import (DTYPES, ShapeError, check_tensor5, ew_add, precision_of, te
                      tensor_write)
 
 
+def _positive_int(v):
+    """A config count: an int (numpy's included) above zero, never a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v > 0
+
+
 @dataclasses.dataclass(frozen=True)
 class UNetConfig:
     widths: tuple
@@ -48,8 +53,16 @@ class UNetConfig:
     def validate(self):
         if self.block_kind not in ("standard", "mbconv"):
             raise ValueError("block_kind must be 'standard' or 'mbconv'")
+        for name in ("widths", "image_size"):
+            values = getattr(self, name)
+            if not (isinstance(values, (tuple, list)) and all(map(_positive_int, values))):
+                raise ValueError("%s must be a list of positive integers, got %r" % (name, values))
+        for name in ("in_ch", "num_classes"):
+            if not _positive_int(getattr(self, name)):
+                raise ValueError("%s must be a positive integer, got %r"
+                                 % (name, getattr(self, name)))
         if self.block_kind == "mbconv":
-            if not isinstance(self.expand_ratio, int) or self.expand_ratio < 1:
+            if not _positive_int(self.expand_ratio):
                 raise ValueError("mbconv config needs a positive integer expand_ratio")
         elif self.expand_ratio is not None:
             raise ValueError("standard config must not set expand_ratio")
@@ -66,8 +79,6 @@ class UNetConfig:
             if s % self.grid:
                 raise ValueError("image size %r not divisible by the pooling grid %d"
                                  % (tuple(self.image_size), self.grid))
-        if self.in_ch < 1 or self.num_classes < 1:
-            raise ValueError("in_ch and num_classes must be positive")
 
     def to_dict(self):
         return {
@@ -81,6 +92,11 @@ class UNetConfig:
 
     @classmethod
     def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise ValueError("a config must be a JSON object, got %s" % type(d).__name__)
+        for name in ("widths", "image_size"):
+            if not isinstance(d[name], list):
+                raise ValueError("%s must be a list of positive integers, got %r" % (name, d[name]))
         return cls(
             widths=tuple(d["widths"]),
             image_size=tuple(d["image_size"]),

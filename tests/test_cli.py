@@ -141,6 +141,23 @@ class TestMemplan:
         assert code == 2
 
 
+    @pytest.mark.parametrize("doc", [
+        [1, 2],
+        {"widths": 5, "image_size": [16, 16, 16], "expand_ratio": 2},
+        {"widths": ["4", "8"], "image_size": [16, 16, 16], "expand_ratio": 2},
+        {"widths": [-4, 8], "image_size": [16, 16, 16], "expand_ratio": 2},
+        {"widths": [4, 8], "image_size": [0, 16, 16], "expand_ratio": 2},
+        {"widths": [4, 8], "image_size": [16.0, 16, 16], "expand_ratio": 2},
+        {"widths": [4, 8], "image_size": [16, 16, 16], "expand_ratio": 2, "in_ch": True},
+    ])
+    def test_config_counts_must_be_positive_ints(self, capsys, tmp_path, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        for extra in ([], ["--compare"], ["--budget", "1GB", "--axis", "volume"]):
+            code, out, err = run(capsys, ["memplan", "--config", str(bad)] + extra)
+            assert code == 2 and out == "" and err.startswith("error: ")
+
+
 class TestPhantoms:
     def test_writes_valid_corpus(self, capsys, tmp_path):
         out = str(tmp_path / "c")
@@ -273,6 +290,37 @@ class TestTrainAndSegment:
                                     "--seed", "0", "--steps", "1"])
         assert code == 2
         assert "NaN or Inf" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("labels", [
+        np.full((1, 1, 16, 16, 16), 9.0),    # a class the model does not have
+        np.full((1, 1, 16, 16, 16), -1.0),
+        np.full((1, 1, 16, 16, 16), 3e9),
+        np.full((1, 1, 16, 16, 16), 2.5),    # not an integer
+        np.zeros((1, 2, 16, 16, 16)),        # two channels
+        np.zeros((2, 1, 16, 16, 16)),
+        np.zeros((1, 1, 16, 16, 8)),         # another grid than the volume's
+    ])
+    def test_bad_reference_labels_are_usage_errors(self, capsys, tmp_path, labels):
+        model_dir = str(tmp_path / "m")
+        build("mbconv-base-toy", seed=0, precision="single").save(model_dir)
+        vol, lab = str(tmp_path / "v.rvt"), str(tmp_path / "l.rvt")
+        tensor_write(np.zeros((1, 4, 16, 16, 16), dtype=np.float32), vol)
+        tensor_write(labels.astype(np.float32), lab)
+        code, out, err = run(capsys, ["segment", "--model", model_dir, "--volume", vol,
+                                      "--out", str(tmp_path / "o.rvt"), "--labels", lab])
+        assert code == 2 and out == "" and err.startswith("error: ")
+        assert not os.path.exists(tmp_path / "o.rvt")
+
+    def test_non_integer_corpus_labels_are_usage_errors(self, capsys, tmp_path):
+        corpus_dir = str(tmp_path / "corpus")
+        index = write_corpus(corpus_dir, 2, 16, seed=3)
+        lab = os.path.join(corpus_dir, index["items"][1]["labels"])
+        tensor_write(tensor_read(lab) + np.float32(0.5), lab)
+        out = tmp_path / "run"
+        code, _, err = run(capsys, ["train", "--data", corpus_dir, "--out", str(out),
+                                    "--seed", "0", "--steps", "1"])
+        assert code == 2 and "not integers" in err
         assert not out.exists()
 
     def test_manifest_escaping_model_dir_is_usage_error(self, capsys, tmp_path):

@@ -3,17 +3,40 @@
 import importlib.util
 import os
 
+from revunet import ops
+
 TOOL = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "digest.py")
 
 
-def test_digest_covers_every_entry():
+def _load():
     spec = importlib.util.spec_from_file_location("digest", TOOL)
     digest = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(digest)
-    out = digest.digest()
-    assert len(out) == 30
+    return digest
+
+
+def test_digest_covers_every_entry():
+    out = _load().digest()
+    assert len(out) == 34
     assert sum(k.startswith("model/") for k in out) == 12
     assert sum(k.startswith("gradcheck/0/corrupt/") for k in out) == 7
     assert sorted(k for k in out if k.startswith("fd-network/")) == ["fd-network/105",
                                                                      "fd-network/88"]
+    assert sorted(k for k in out if k.startswith("kernel/")) == [
+        "kernel/conv3d/double", "kernel/conv3d/single",
+        "kernel/depthwise/double", "kernel/depthwise/single"]
     assert all(len(v) == 64 and set(v) <= set("0123456789abcdef") for v in out.values())
+
+
+def test_kernel_entries_take_several_slabs():
+    # forward and input gradient each walk the grid with one channel count
+    # on either side; every walk must cross slab edges and end in a short slab
+    digest = _load()
+    n, d, h, w = digest.KERNEL_GRID
+    plane = (h + 1) * (w + 1)
+    for c_in, c_out in digest.KERNEL_CHANNELS.values():
+        for itemsize in (4, 8):
+            for a, b in ((c_in, c_out), (c_out, c_in)):
+                slabs = ops._slabs(n, a, b, itemsize, plane, d * plane)
+                assert len(slabs) > 1
+                assert slabs[-1][1] - slabs[-1][0] < slabs[0][1] - slabs[0][0]

@@ -277,13 +277,13 @@ def test_model_grids_up_to_16_cubed_take_one_slab(monkeypatch):
     # the toy presets and of the train and segment benchmark models, then
     # the paper presets' widths (and 4x, an expanded MBConv width) at 16^3
     seen = []
-    accumulate = ops._accumulate
+    slabs = ops._slabs
 
-    def spy(af, offsets, out, plane, slab_taps):
-        seen.append((af.shape[0], af.shape[1], out.shape[1], af.itemsize, plane, out.shape[2]))
-        return accumulate(af, offsets, out, plane, slab_taps)
+    def spy(n, c_in, c_out, itemsize, plane, L):
+        seen.append((n, c_in, c_out, itemsize, plane, L))
+        return slabs(n, c_in, c_out, itemsize, plane, L)
 
-    monkeypatch.setattr(ops, "_accumulate", spy)
+    monkeypatch.setattr(ops, "_slabs", spy)
     configs = ["mbconv-base-toy", "baseline-toy",
                UNetConfig(widths=(8, 16, 32), image_size=(16, 16, 16),
                           block_kind="mbconv", expand_ratio=2),
@@ -458,7 +458,21 @@ def _per_tap_depthwise_dw(x, w, dy):
                      for off in offsets], axis=-1).reshape(w.shape)
 
 
+def _per_tap_conv3d_dw(x, w, dy):
+    # the weight gradient as one (co, L) by (L, ci) matmul per tap
+    k = w.shape[2]
+    dyf, offsets, L, _ = ops._windows(dy, k)
+    centre = offsets[len(offsets) // 2]
+    dyg = dyf[:, :, centre:centre + L]
+    xf = ops._windows(x, k)[0]
+    return np.stack([np.matmul(dyg, xf[:, :, off:off + L].transpose(0, 2, 1)).sum(axis=0)
+                     for off in offsets], axis=-1).reshape(w.shape)
+
+
 class TestDepthwiseWeightGradient:
+    """Both weight gradients read every tap's window through one strided
+    view of padded x, and equal a matmul per tap bit for bit."""
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("k", [1, 3, 5])
@@ -470,19 +484,45 @@ class TestDepthwiseWeightGradient:
         dy = gen.standard_normal((n, 3) + shape).astype(dtype)
         assert _same_bits(ops.depthwise_conv3d_bwd(x, w, dy)[1], _per_tap_depthwise_dw(x, w, dy))
 
-    def test_a_window_past_the_padded_grid_is_refused(self, monkeypatch):
-        gen = _gen("dw-guard")
-        x, dy = gen.standard_normal((2, 1, 3, 4, 5, 6))
-        w = gen.standard_normal((3, 1, 3, 3, 3))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("shape", [(3, 5, 7), (1, 1, 1), (5, 3, 9), (9, 9, 9)])
+    def test_conv3d_equals_the_per_tap_loop_bitwise(self, dtype, n, k, shape):
+        gen = _gen("conv-grad", str(dtype), str(n), str(k), str(shape))
+        x = gen.standard_normal((n, 3) + shape).astype(dtype)
+        w = gen.standard_normal((4, 3, k, k, k)).astype(dtype)
+        dy = gen.standard_normal((n, 4) + shape).astype(dtype)
+        assert _same_bits(ops.conv3d_bwd(x, w, dy, False)[1], _per_tap_conv3d_dw(x, w, dy))
+
+    def _shorten_padded(self, monkeypatch, target):
+        # target's padded grid ends one element before its last tap window does
         windows = ops._windows
 
         def short(a, k):
             af, offsets, L, plane = windows(a, k)
-            return af[:, :, :offsets[-1] + L - 1], offsets, L, plane
+            if a is target:
+                af = af[:, :, :offsets[-1] + L - 1]
+            return af, offsets, L, plane
 
         monkeypatch.setattr(ops, "_windows", short)
+
+    def test_a_window_past_the_padded_grid_is_refused(self, monkeypatch):
+        gen = _gen("dw-guard")
+        x, dy = gen.standard_normal((2, 1, 3, 4, 5, 6))
+        w = gen.standard_normal((3, 1, 3, 3, 3))
+        self._shorten_padded(monkeypatch, x)
         with pytest.raises(ValueError, match="tap windows"):
             ops.depthwise_conv3d_bwd(x, w, dy)
+
+    def test_conv3d_a_window_past_the_padded_grid_is_refused(self, monkeypatch):
+        gen = _gen("conv-guard")
+        x = gen.standard_normal((1, 3, 4, 5, 6))
+        w = gen.standard_normal((2, 3, 3, 3, 3))
+        dy = gen.standard_normal((1, 2, 4, 5, 6))
+        self._shorten_padded(monkeypatch, x)
+        with pytest.raises(ValueError, match="tap windows"):
+            ops.conv3d_bwd(x, w, dy, False)
 
 
 class TestSeparability:

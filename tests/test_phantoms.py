@@ -19,10 +19,12 @@ from revunet.phantoms import (
     histogram,
     make_phantom,
     read_corpus,
+    read_labels,
     sample_augment_params,
     write_corpus,
 )
 from revunet.rng import rng_for
+from revunet.tensor import tensor_write
 
 
 class TestMakePhantom:
@@ -296,3 +298,35 @@ class TestCorpus:
             with open(os.path.join(a, name), "rb") as fa, \
                  open(os.path.join(b, name), "rb") as fb:
                 assert fa.read() == fb.read(), name
+
+
+class TestReadLabels:
+    def _write(self, tmp_path, labels, dtype=np.float32):
+        path = str(tmp_path / "l.rvt")
+        tensor_write(np.asarray(labels, dtype=dtype), path)
+        return path
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_class_reads_back_as_int32(self, tmp_path, dtype):
+        labels = np.arange(24).reshape(1, 1, 2, 3, 4) % NUM_CLASSES
+        labels[0, 0, 0, 0, 0] = -0.0
+        lab = read_labels(self._write(tmp_path, labels, dtype))
+        assert lab.dtype == np.int32 and np.array_equal(lab, labels[0, 0])
+
+    @pytest.mark.parametrize("bad", [NUM_CLASSES, -1, 3e9, 2.5, 1e-3, -0.5])
+    def test_values_outside_the_classes_are_refused(self, tmp_path, bad):
+        labels = np.zeros((1, 1, 2, 3, 4))
+        labels[0, 0, 1, 2, 3] = bad
+        with pytest.raises(ValueError, match="label map"):
+            read_labels(self._write(tmp_path, labels))
+
+    def test_classes_bound_the_values(self, tmp_path):
+        path = self._write(tmp_path, np.full((1, 1, 2, 2, 2), 5.0))
+        assert (read_labels(path, classes=6) == 5).all()
+        with pytest.raises(ValueError):
+            read_labels(path, classes=5)
+
+    @pytest.mark.parametrize("shape", [(1, 2, 2, 2, 2), (2, 1, 2, 2, 2)])
+    def test_more_than_one_map_is_refused(self, tmp_path, shape):
+        with pytest.raises(ValueError, match=r"\(1, 1, d, h, w\)"):
+            read_labels(self._write(tmp_path, np.zeros(shape)))

@@ -75,6 +75,30 @@ class TestConfig:
         with pytest.raises(ValueError):
             UNetConfig(**kwargs).validate()
 
+    @pytest.mark.parametrize("change", [
+        {"widths": 5}, {"widths": "48"}, {"image_size": 8},
+        {"widths": [-4, 8]}, {"widths": [0, 8]}, {"widths": ["4", "8"]},
+        {"widths": [4.0, 8]}, {"widths": [True, 8]},
+        {"image_size": [0, 8, 8]}, {"image_size": [-8, 8, 8]}, {"image_size": [8.0, 8, 8]},
+        {"in_ch": 0}, {"in_ch": True}, {"num_classes": -1}, {"num_classes": 4.0},
+        {"expand_ratio": True}, {"expand_ratio": 2.0},
+    ])
+    def test_counts_that_are_not_positive_ints_are_refused(self, change):
+        doc = {"widths": [4, 8], "image_size": [8, 8, 8], "expand_ratio": 2}
+        UNetConfig.from_dict(doc).validate()
+        with pytest.raises(ValueError):
+            UNetConfig.from_dict(dict(doc, **change)).validate()
+
+    @pytest.mark.parametrize("doc", [[4, 8], "mbconv", 8, None])
+    def test_documents_that_are_not_objects_are_refused(self, doc):
+        with pytest.raises(ValueError, match="JSON object"):
+            UNetConfig.from_dict(doc)
+
+    def test_numpy_int_counts_are_accepted(self):
+        cfg = UNetConfig(widths=tuple(np.array([4, 8])), image_size=(8, 8, np.int64(8)),
+                         block_kind="mbconv", expand_ratio=np.int32(2))
+        cfg.validate()
+
     def test_dict_roundtrip(self):
         cfg = _toy()
         assert UNetConfig.from_dict(cfg.to_dict()) == cfg

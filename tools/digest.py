@@ -17,12 +17,15 @@ epochs, and on epochs with steps also given; the JSON of
 `gradcheck_report("mbconv-base", s)` for s in {0, 5, 30}; the JSON of
 `fd_network_suite(s, samples=60)` for s in {88, 105}, whose kink
 replacements draw extra probes; the JSON of `gradcheck_report("mbconv-base",
-0, corrupt=op)` for every op of `verify._CORRUPT_TARGETS`; and the JSON of
-`claims_report("single")`. It drives the package only through `build`,
+0, corrupt=op)` for every op of `verify._CORRUPT_TARGETS`; the JSON of
+`claims_report("single")`; and, in both precisions, the forward, input
+gradient and weight gradient of `ops.conv3d` (with its bias) and of
+`ops.depthwise_conv3d` on KERNEL_GRID, which the tap loop walks in several
+slabs, the last one short. It drives the package only through `build`,
 `Tape(ledger)`, `parameters()`, `training.train`, `gradcheck_report`,
-`fd_network_suite`, `_CORRUPT_TARGETS`, `claims_report` and the model's
-forward and backward, which earlier commits share, so the same script runs
-on both sides of a change.
+`fd_network_suite`, `_CORRUPT_TARGETS`, `claims_report`, the four `ops`
+conv kernels and the model's forward and backward, which earlier commits
+share, so the same script runs on both sides of a change.
 """
 
 import hashlib
@@ -37,6 +40,9 @@ STRATEGIES = ("store-all", "reversible")
 PRECISIONS = ("single", "double")
 GRADCHECK_SEEDS = (0, 5, 30)
 KINK_SEEDS = (88, 105)
+# (n, d, h, w) and channels of the kernel entries: several slabs at either precision
+KERNEL_GRID = (2, 20, 33, 35)
+KERNEL_CHANNELS = {"conv3d": (4, 5), "depthwise": (6, 6)}
 
 
 class _Digest:
@@ -105,12 +111,33 @@ def _metrics_entry(training, phantoms, unet, **stop):
             return hashlib.sha256(f.read()).hexdigest()
 
 
+def _kernel_entry(ops, kind, precision):
+    d = _Digest()
+    dtype = np.float32 if precision == "single" else np.float64
+    n, grid = KERNEL_GRID[0], KERNEL_GRID[1:]
+    c_in, c_out = KERNEL_CHANNELS[kind]
+    gen = np.random.default_rng(13)
+    x = gen.standard_normal((n, c_in) + grid).astype(dtype)
+    w = gen.standard_normal((c_out, 1 if kind == "depthwise" else c_in, 3, 3, 3)).astype(dtype)
+    dy = gen.standard_normal((n, c_out) + grid).astype(dtype)
+    if kind == "conv3d":
+        b = gen.standard_normal(c_out).astype(dtype)
+        d.array("out", ops.conv3d(x, w, b))
+        grads = ops.conv3d_bwd(x, w, dy, True)
+    else:
+        d.array("out", ops.depthwise_conv3d(x, w))
+        grads = ops.depthwise_conv3d_bwd(x, w, dy)
+    for label, arr in zip(("dx", "dw", "db"), grads):
+        d.array(label, arr)
+    return d.hex()
+
+
 def _json_entry(doc):
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
 def digest():
-    from revunet import engine, memplan, phantoms, training, unet, verify
+    from revunet import engine, memplan, ops, phantoms, training, unet, verify
 
     out = {}
     for config, label in (("mbconv-base-toy", "mbconv-base-toy"),
@@ -132,6 +159,9 @@ def digest():
         out["gradcheck/0/corrupt/%s" % op] = _json_entry(
             verify.gradcheck_report("mbconv-base", 0, corrupt=op))
     out["claims/single"] = _json_entry(memplan.claims_report("single"))
+    for kind in KERNEL_CHANNELS:
+        for precision in PRECISIONS:
+            out["kernel/%s/%s" % (kind, precision)] = _kernel_entry(ops, kind, precision)
     return out
 
 

@@ -3,8 +3,9 @@ corpora, training, segmentation, and ensemble selection.
 
 Every report is JSON with a schema_version field and goes to stdout;
 human-readable progress goes to stderr. Exit codes: 0 success, 1
-verification or numerical failure, 2 usage/config error. Commands that
-draw randomness require an explicit --seed; nothing is seeded ambiently.
+verification or numerical failure, 2 usage/config error, 141 stdout closed
+by its reader (as for SIGPIPE). Commands that draw randomness require an
+explicit --seed; nothing is seeded ambiently.
 """
 
 import argparse
@@ -17,8 +18,8 @@ import numpy as np
 
 from . import memplan, phantoms, verify
 from .engine import STRATEGIES, EngineError
-from .tensor import DTYPES, ShapeError, tensor_read, tensor_write
-from .training import LrSchedule, TrainingError, per_class_dice, train
+from .tensor import DTYPES, ShapeError, tensor_read
+from .training import BASE_LR, TrainingError, class_labels, per_class_dice, train
 from .unet import Model, crop_to_record, pad_to_grid, resolve_config
 
 _AXES = ("volume", "depth", "channels")
@@ -104,13 +105,12 @@ def cmd_train(args):
                          % (args.holdout, len(pairs)))
     split = len(pairs) - args.holdout
     train_pairs, holdout_pairs = pairs[:split], pairs[split:]
-    schedule = LrSchedule(base_lr=args.base_lr) if args.base_lr is not None else None
     os.makedirs(args.out, exist_ok=True)
     started = time.time()
     model, records = train(
         config, train_pairs, seed=args.seed, holdout=holdout_pairs,
         epochs=args.epochs, steps=args.steps, precision=args.precision,
-        strategy=args.strategy, schedule=schedule,
+        strategy=args.strategy, base_lr=args.base_lr,
         augment_data=not args.no_augment,
         metrics_path=os.path.join(args.out, "metrics.jsonl"))
     wall = time.time() - started
@@ -137,29 +137,6 @@ def cmd_train(args):
     return 0
 
 
-def class_labels(logits):
-    """``np.argmax(logits, axis=1)``, bytes and dtype included, by a pairwise compare chain.
-
-    Classes are taken in order against the running maximum: a later class
-    wins only where the maximum changes value (NaN differs from
-    everything) and the earlier maximum is not NaN. So ties, signed zeros
-    included, keep the first class, and the first NaN wins as in
-    np.argmax. A few elementwise passes per class beat argmax's reduction
-    over a short axis strided by the whole grid.
-    """
-    best = logits[:, 0]
-    classes = logits.shape[1]
-    code = np.zeros(best.shape, dtype=np.min_scalar_type(classes - 1))
-    for c in range(1, classes):
-        top = np.maximum(logits[:, c], best)
-        won = top != best
-        won &= best == best
-        # classes come in increasing order, so c tops any earlier code
-        np.maximum(code, won.view(np.uint8) * code.dtype.type(c), out=code)
-        best = top
-    return code.astype(np.intp)
-
-
 def cmd_segment(args):
     model = Model.load(args.model)
     volume = tensor_read(args.volume)
@@ -177,8 +154,7 @@ def cmd_segment(args):
     padded, record = pad_to_grid(volume, model.config.levels)
     logits = crop_to_record(model.forward(padded, None), record)
     labels = class_labels(logits)[0]
-    out5 = labels.astype(np.float32).reshape((1, 1) + labels.shape)
-    tensor_write(out5, args.out)
+    phantoms.write_labels(args.out, labels)
     report = {
         "schema_version": 1,
         "model": args.model,
@@ -205,12 +181,9 @@ def cmd_ensemble_select(args):
         raise ValueError("stats file must hold a JSON object")
     models = stats["models"]
     dice = np.array([m["train_dice"] for m in models], dtype=np.float64)
-    hists = np.array(stats["train_histograms"], dtype=np.float64)
-    if hists.ndim != 2:
-        raise ValueError("train_histograms must be a list of equal-length histograms")
     volume = tensor_read(args.volume)
-    scores = phantoms.ensemble_scores(dice, hists, volume,
-                                      reading=args.reading, bins=hists.shape[1])
+    scores = phantoms.ensemble_scores(dice, stats["train_histograms"], volume,
+                                      reading=args.reading)
     chosen = phantoms.select_from_scores(scores, args.reading)
     report = {
         "schema_version": 1,
@@ -278,8 +251,8 @@ def build_parser():
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--holdout", type=int, default=0,
                    help="hold out the last N corpus items for evaluation")
-    p.add_argument("--base-lr", type=float, default=None,
-                   help="override the schedule's base learning rate")
+    p.add_argument("--base-lr", type=float, default=BASE_LR,
+                   help="the schedule's base learning rate")
     p.add_argument("--no-augment", action="store_true")
     p.set_defaults(func=cmd_train)
 
@@ -305,7 +278,16 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe then fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull, so the
+        # flush at exit stays quiet, and exit as a writer stopped by SIGPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (TrainingError, EngineError) as exc:
         _status("failure: %s" % exc)
         return 1

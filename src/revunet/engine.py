@@ -183,10 +183,9 @@ class Conv(Node):
 class GroupNorm(Node):
     op = "groupnorm"
 
-    def __init__(self, name, c, dtype, eps=1e-5):
+    def __init__(self, name, c, dtype):
         super().__init__(name)
         self.c = c
-        self.eps = eps
         self.group_size = ops.group_size_for(c)
         self.gamma = np.ones(c, dtype=dtype)
         self.beta = np.zeros(c, dtype=dtype)
@@ -195,7 +194,7 @@ class GroupNorm(Node):
     def forward(self, x, tape):
         if x.shape[1] != self.c:
             raise ShapeError("%s expects %d channels, got %d" % (self.name, self.c, x.shape[1]))
-        y, xhat, rstd = ops.group_norm(x, self.gamma, self.beta, self.group_size, self.eps)
+        y, xhat, rstd = ops.group_norm(x, self.gamma, self.beta, self.group_size)
         if tape is not None:
             tape.save(self.name, "xhat", self.op, xhat)
             tape.save(self.name, "rstd", self.op, rstd)

@@ -214,16 +214,17 @@ def _search_channels(config, budget_bytes, strategy, precision):
 
 
 def _search_depth(config, budget_bytes, strategy, precision):
-    widths = list(config.widths)
-    while True:
-        extended = widths + [widths[-1] * 2]
-        deeper = dataclasses.replace(config, widths=tuple(extended))
-        if any(s % deeper.grid for s in config.image_size):
-            break
-        if not _feasible(deeper, budget_bytes, strategy, precision):
-            break
-        widths = extended
-    chosen = dataclasses.replace(config, widths=tuple(widths))
+    def deeper(n):
+        added = tuple(config.widths[-1] * 2 ** i for i in range(1, n + 1))
+        return dataclasses.replace(config, widths=tuple(config.widths) + added)
+
+    # an added level only adds ledger entries and a coarser grid, so fits is monotone
+    def fits(n):
+        c = deeper(n)
+        return (not any(s % c.grid for s in config.image_size)
+                and _feasible(c, budget_bytes, strategy, precision))
+
+    chosen = deeper(_largest(fits, 0))
     return {
         "axis": "depth",
         "base_levels": config.levels,

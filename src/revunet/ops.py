@@ -82,6 +82,9 @@ except ImportError:  # numpy 1.x
 
 from .tensor import ShapeError
 
+# added to each group's variance before the square root in group_norm
+GN_EPS = 1e-5
+
 
 def group_size_for(c):
     """Channels per normalization group: 10 when divisible, else one group."""
@@ -351,15 +354,13 @@ def _mean(a, axes):
     return np.true_divide(s, np.intp(count), out=s, casting="unsafe")
 
 
-def group_norm(x, gamma, beta, group_size, eps=1e-5):
+def group_norm(x, gamma, beta, group_size):
     """Normalize each (sample, channel group) over group channels and space.
 
     Returns (out, xhat, rstd); the backward pass needs only xhat and rstd
     beyond the affine parameters, which share x's dtype.
     """
     n, c = x.shape[:2]
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     if c % group_size != 0:
         raise ShapeError("channels %d not divisible by group size %d" % (c, group_size))
     g = c // group_size
@@ -368,7 +369,7 @@ def group_norm(x, gamma, beta, group_size, eps=1e-5):
     # the passes np.var makes, with the centred input kept for xhat
     d = xg - _mean(xg, axes)
     sq = d * d
-    rstd = 1.0 / np.sqrt(_mean(sq, axes) + x.dtype.type(eps))
+    rstd = 1.0 / np.sqrt(_mean(sq, axes) + x.dtype.type(GN_EPS))
     xhat = np.multiply(d, rstd, out=d).reshape(x.shape)
     out = np.multiply(gamma.reshape(1, c, 1, 1, 1), xhat, out=sq.reshape(x.shape))
     out += beta.reshape(1, c, 1, 1, 1)

@@ -33,7 +33,7 @@ ROTATION_LIMIT_DEG = 20.0
 SCALE_LIMIT = 0.10
 INTENSITY_LIMIT = 0.10
 DEFAULT_ELASTIC_ALPHA = 6.0
-DEFAULT_ELASTIC_SIGMA = 8.0
+ELASTIC_SIGMA = 8.0
 
 # rows: channel, cols: class; spread out so classes are separable from
 # intensities alone, which keeps the desk-scale training benchmark honest
@@ -59,7 +59,6 @@ class AugmentParams:
     flips: tuple = (False, False, False)
     intensity: float = 1.0
     elastic_alpha: float = 0.0
-    elastic_sigma: float = DEFAULT_ELASTIC_SIGMA
 
 
 def sample_augment_params(gen):
@@ -139,7 +138,7 @@ def augment(phantom, params, seed=None):
             raise ValueError("elastic warp needs a seed for its displacement field")
         gen = rng_for(seed, "elastic")
         for ax in range(3):
-            field = gaussian_filter(gen.uniform(-1.0, 1.0, dims), params.elastic_sigma)
+            field = gaussian_filter(gen.uniform(-1.0, 1.0, dims), ELASTIC_SIGMA)
             p[ax] += params.elastic_alpha * field
     for ax, flip in enumerate(params.flips):
         if flip:
@@ -197,8 +196,7 @@ def chi2_distance(h, g):
     return float(0.5 * ((h[mask] - g[mask]) ** 2 / denom[mask]).sum())
 
 
-def ensemble_scores(per_model_train_dice, train_histograms, test_volume,
-                    reading="literal", bins=64):
+def ensemble_scores(per_model_train_dice, train_histograms, test_volume, reading="literal"):
     dice = np.asarray(per_model_train_dice, dtype=np.float64)
     if dice.ndim != 2 or dice.shape[0] < 1:
         raise ValueError("need a (models x train-images) dice matrix with at least one model")
@@ -207,7 +205,9 @@ def ensemble_scores(per_model_train_dice, train_histograms, test_volume,
     if len(train_histograms) != dice.shape[1]:
         raise ValueError("got %d histograms for %d train images"
                          % (len(train_histograms), dice.shape[1]))
-    test_hist = histogram(test_volume, bins)
+    if len({np.shape(h) for h in train_histograms}) != 1 or np.ndim(train_histograms[0]) != 1:
+        raise ValueError("train_histograms must be a list of equal-length histograms")
+    test_hist = histogram(test_volume, len(train_histograms[0]))  # refuses fewer than 2 bins
     dist = np.array([chi2_distance(test_hist, h) for h in train_histograms])
     if reading == "literal":
         return (dice @ dist).tolist()
@@ -216,8 +216,7 @@ def ensemble_scores(per_model_train_dice, train_histograms, test_volume,
     raise ValueError("reading must be 'literal' or 'inverted'")
 
 
-def ensemble_select(per_model_train_dice, train_histograms, test_volume,
-                    reading="literal", bins=64):
+def ensemble_select(per_model_train_dice, train_histograms, test_volume, reading="literal"):
     """Pick a model for the test volume by distance-weighted training Dice.
 
     literal reading: argmin of sum_j chi2(test, train_j) * dice[m, j] - the
@@ -226,7 +225,7 @@ def ensemble_select(per_model_train_dice, train_histograms, test_volume,
     lowest index.
     """
     return select_from_scores(ensemble_scores(per_model_train_dice, train_histograms,
-                                              test_volume, reading, bins), reading)
+                                              test_volume, reading), reading)
 
 
 def select_from_scores(scores, reading):
@@ -247,14 +246,18 @@ def write_corpus(path, count, size, seed):
         vol_name = "phantom_%03d.vol.rvt" % i
         lab_name = "phantom_%03d.lab.rvt" % i
         tensor_write(ph.volume, os.path.join(path, vol_name))
-        lab5 = ph.labels.astype(np.float32).reshape((1, 1) + ph.labels.shape)
-        tensor_write(lab5, os.path.join(path, lab_name))
+        write_labels(os.path.join(path, lab_name), ph.labels)
         items.append({"volume": vol_name, "labels": lab_name, "seed": child})
     index = {"schema_version": 1, "count": count, "size": list(dims),
              "seed": seed, "items": items}
     with open(os.path.join(path, "index.json"), "w") as f:
         json.dump(index, f, indent=2)
     return index
+
+
+def write_labels(path, labels):
+    """Store a (d, h, w) integer label map as an RVT1 float32 (1, 1, d, h, w) tensor."""
+    tensor_write(labels.astype(np.float32).reshape((1, 1) + labels.shape), path)
 
 
 def read_labels(path, classes=NUM_CLASSES):

@@ -1,12 +1,12 @@
 """Loss, metrics, optimizer, learning-rate schedule, and the training loop.
 
-The loss is soft Dice over softmax probabilities with smoothing 1, with a
-hand-derived gradient. The optimizer is bias-corrected Adam. Both are
-stated assumptions: the published procedure names only the learning-rate
-schedule (1e-4, divided by 5 at epochs 250 and 400, 500 epochs total).
+The loss is soft Dice over softmax probabilities, with a hand-derived
+gradient; the optimizer is bias-corrected Adam. Both are stated
+assumptions: the published procedure names only the learning-rate schedule
+(1e-4, divided by 5 at epochs 250 and 400, 500 epochs total), which is
+fixed here; train(base_lr=...) sets only its base rate.
 """
 
-import dataclasses
 import json
 
 import numpy as np
@@ -16,26 +16,27 @@ from .phantoms import Phantom, augment, sample_augment_params
 from .rng import rng_for
 from .unet import build
 
+BASE_LR = 1e-4
+DROP_FACTOR = 5.0
+DROP_EPOCHS = (250, 400)
+TOTAL_EPOCHS = 500
+DICE_SMOOTHING = 1.0
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 class TrainingError(RuntimeError):
     pass
 
 
-@dataclasses.dataclass(frozen=True)
-class LrSchedule:
-    base_lr: float = 1e-4
-    drop_factor: float = 5.0
-    drop_epochs: tuple = (250, 400)
-    total_epochs: int = 500
-
-
-def lr_at(schedule, epoch):
-    if not 0 <= epoch < schedule.total_epochs:
-        raise ValueError("epoch %d outside [0, %d)" % (epoch, schedule.total_epochs))
-    lr = schedule.base_lr
-    for drop in schedule.drop_epochs:
+def lr_at(epoch, base_lr=BASE_LR):
+    if not 0 <= epoch < TOTAL_EPOCHS:
+        raise ValueError("epoch %d outside [0, %d)" % (epoch, TOTAL_EPOCHS))
+    lr = base_lr
+    for drop in DROP_EPOCHS:
         if epoch >= drop:
-            lr /= schedule.drop_factor
+            lr /= DROP_FACTOR
     return lr
 
 
@@ -45,12 +46,12 @@ def softmax_channels(logits):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def soft_dice_loss(logits, labels, smoothing=1.0):
+def soft_dice_loss(logits, labels):
     """Mean soft Dice complement over classes; returns (loss, dlogits).
 
     labels: integer class map (n, d, h, w). Per class c with probabilities
-    p_c and indicator y_c: dice_c = (2*sum(p_c*y_c)+s) / (sum p_c + sum y_c + s),
-    loss = 1 - mean_c dice_c.
+    p_c and indicator y_c: dice_c = (2*sum(p_c*y_c)+s) / (sum p_c + sum y_c + s)
+    with s = DICE_SMOOTHING, loss = 1 - mean_c dice_c.
     """
     n, k = logits.shape[:2]
     if labels.shape != (n,) + logits.shape[2:]:
@@ -65,8 +66,8 @@ def soft_dice_loss(logits, labels, smoothing=1.0):
         y = (labels == c).astype(logits.dtype)[:, None]
         pc = p[:, c:c + 1]
         inter = float((pc * y).sum())
-        denom = float(pc.sum()) + float(y.sum()) + smoothing
-        dice = (2.0 * inter + smoothing) / denom
+        denom = float(pc.sum()) + float(y.sum()) + DICE_SMOOTHING
+        dice = (2.0 * inter + DICE_SMOOTHING) / denom
         loss -= dice / k
         # d(loss)/d(p_c) from the quotient rule, folded around the dice value
         dp[:, c:c + 1] = -(2.0 * y - logits.dtype.type(dice)) / logits.dtype.type(denom * k)
@@ -89,17 +90,39 @@ def per_class_dice(pred_labels, true_labels, num_classes):
     return [dice_score(pred_labels, true_labels, c) for c in range(num_classes)]
 
 
+def class_labels(logits):
+    """``np.argmax(logits, axis=1)``, bytes and dtype included, by a pairwise compare chain.
+
+    Classes are taken in order against the running maximum: a later class
+    wins only where the maximum changes value (NaN differs from
+    everything) and the earlier maximum is not NaN. So ties, signed zeros
+    included, keep the first class, and the first NaN wins as in
+    np.argmax. A few elementwise passes per class beat argmax's reduction
+    over a short axis strided by the whole grid.
+    """
+    best = logits[:, 0]
+    classes = logits.shape[1]
+    code = np.zeros(best.shape, dtype=np.min_scalar_type(classes - 1))
+    for c in range(1, classes):
+        top = np.maximum(logits[:, c], best)
+        won = top != best
+        won &= best == best
+        # classes come in increasing order, so c tops any earlier code
+        np.maximum(code, won.view(np.uint8) * code.dtype.type(c), out=code)
+        best = top
+    return code.astype(np.intp)
+
+
 class Adam:
-    def __init__(self, model, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, model):
         self.model = model
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.moments = {name: (np.zeros_like(arr), np.zeros_like(arr))
                         for name, _, _, arr in model.parameters()}
 
     def step(self, lr):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         for name, leaf, attr, arr in self.model.parameters():
             g = leaf.grads[attr]
             if not np.all(np.isfinite(g)):
@@ -109,7 +132,7 @@ class Adam:
             v += (1 - b2) * (g * g - v)
             mhat = m / (1 - b1 ** self.t)
             vhat = v / (1 - b2 ** self.t)
-            arr -= lr * mhat / (np.sqrt(vhat) + self.eps)
+            arr -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
         self.model.bump_version()
 
 
@@ -119,14 +142,13 @@ def evaluate(model, pairs):
     sums = np.zeros(k)
     for vol, lab in pairs:
         logits = model.forward(vol.astype(model.dtype), None)
-        pred = np.argmax(logits[0], axis=0)
-        sums += per_class_dice(pred, lab, k)
+        sums += per_class_dice(class_labels(logits)[0], lab, k)
     per_class = (sums / max(len(pairs), 1)).tolist()
     return per_class
 
 
 def train(config, data, *, seed, holdout=(), epochs=None, steps=None,
-          precision="single", strategy="reversible", schedule=None,
+          precision="single", strategy="reversible", base_lr=BASE_LR,
           augment_data=True, metrics_path=None):
     """Batch-size-1 training loop; returns (model, metrics records).
 
@@ -140,12 +162,10 @@ def train(config, data, *, seed, holdout=(), epochs=None, steps=None,
         raise ValueError("give epochs and/or steps")
     if (steps is not None and steps < 1) or (epochs is not None and epochs < 0):
         raise ValueError("need steps >= 1 and epochs >= 0, got %r and %r" % (steps, epochs))
-    schedule = schedule or LrSchedule()
-    if not 0 < schedule.base_lr < np.inf:
-        raise ValueError("base_lr must be positive and finite, got %r" % (schedule.base_lr,))
-    if epochs is not None and epochs > schedule.total_epochs:
-        raise ValueError("epochs %d exceed the schedule's total %d"
-                         % (epochs, schedule.total_epochs))
+    if not 0 < base_lr < np.inf:
+        raise ValueError("base_lr must be positive and finite, got %r" % (base_lr,))
+    if epochs is not None and epochs > TOTAL_EPOCHS:
+        raise ValueError("epochs %d exceed the schedule's total %d" % (epochs, TOTAL_EPOCHS))
     model = build(config, seed, precision, strategy)
     opt = Adam(model)
     records = []
@@ -160,7 +180,7 @@ def train(config, data, *, seed, holdout=(), epochs=None, steps=None,
 
     step = 0
     epoch = 0
-    max_epochs = epochs if epochs is not None else schedule.total_epochs
+    max_epochs = epochs if epochs is not None else TOTAL_EPOCHS
     done = False
     while epoch < max_epochs and not done:
         order = rng_for(seed, "order", epoch).permutation(len(data))
@@ -171,7 +191,7 @@ def train(config, data, *, seed, holdout=(), epochs=None, steps=None,
                 warp_seed = int(rng_for(seed, "elastic-seed", epoch, int(idx)).integers(2 ** 31))
                 warped = augment(Phantom(vol, lab), params, warp_seed)
                 vol, lab = warped.volume, warped.labels
-            lr = lr_at(schedule, epoch)
+            lr = lr_at(epoch, base_lr)
             ledger = MemoryLedger()
             tape = Tape(ledger)
             logits = model.forward(vol.astype(model.dtype), tape)

@@ -94,6 +94,9 @@ class UNetConfig:
     def from_dict(cls, d):
         if not isinstance(d, dict):
             raise ValueError("a config must be a JSON object, got %s" % type(d).__name__)
+        unknown = sorted(set(d) - {field.name for field in dataclasses.fields(cls)})
+        if unknown:
+            raise ValueError("unknown config keys: %s" % ", ".join(map(repr, unknown)))
         for name in ("widths", "image_size"):
             if not isinstance(d[name], list):
                 raise ValueError("%s must be a list of positive integers, got %r" % (name, d[name]))
@@ -294,7 +297,7 @@ class Model:
                        "config": self.config.to_dict()}, f, indent=2)
         manifest = []
         for name, _, _, arr in self.parameters():
-            padded = arr.reshape(arr.shape + (1,) * (5 - arr.ndim))
+            padded = arr.reshape(_stored_shape(arr))
             tensor_write(np.ascontiguousarray(padded), os.path.join(path, "params", name + ".rvt"))
             manifest.append({"name": name, "shape": list(arr.shape), "file": "params/" + name + ".rvt"})
         with open(os.path.join(path, "manifest.json"), "w") as f:
@@ -322,13 +325,18 @@ class Model:
             if precision_of(stored) != model.precision:
                 raise ValueError("parameter %s precision %s does not match model %s"
                                  % (name, precision_of(stored), model.precision))
-            if int(stored.size) != int(arr.size):
-                raise ShapeError("parameter %s has %d elements, expected %d"
-                                 % (name, stored.size, arr.size))
+            if stored.shape != _stored_shape(arr):
+                raise ShapeError("parameter %s has shape %r, expected %r"
+                                 % (name, stored.shape, _stored_shape(arr)))
             arr[...] = stored.reshape(arr.shape)
         if by_name:
             raise ValueError("manifest lists unknown parameters: %s" % sorted(by_name))
         return model
+
+
+def _stored_shape(arr):
+    """The rank-5 shape a parameter is saved in: its own, then trailing ones."""
+    return arr.shape + (1,) * (5 - arr.ndim)
 
 
 def _inside(rel):

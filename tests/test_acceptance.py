@@ -25,7 +25,7 @@ from revunet.phantoms import (
     sample_augment_params,
 )
 from revunet.rng import rng_for
-from revunet.training import LrSchedule, train
+from revunet.training import train
 from revunet.unet import PRESETS, TOY_ANALOG, UNetConfig, build
 
 TOY_PRESETS = sorted(n for n in PRESETS if n.endswith("-toy"))
@@ -47,18 +47,23 @@ def test_criterion_01_reversible_blocks_invert_exactly():
 
 
 def test_criterion_02_reversible_gradients_equal_store_all():
-    entries = verify.strategy_equivalence_suite(seed=0, tol=1e-10)
+    assert verify.EQUIV_TOL == 1e-10
+    entries = verify.strategy_equivalence_suite(seed=0)
     assert all(e["pass"] for e in entries), entries
+    assert next(e for e in entries if e["check"] == "equiv.gradients")["tol"] == 1e-10
     worst = max(e["max_err"] for e in entries)
     _line(2, "reversible vs store-all gradients on the 2-level toy, worst "
              "rel err %.3e <= 1e-10 (forward bitwise equal)" % worst)
 
 
 def test_criterion_03_finite_differences_match_analytic_gradients():
-    prim = verify.fd_primitive_suite(seed=0, tol=1e-6, coords_per_op=120)
+    assert (verify.FD_TOL, verify.FD_COORDS, verify.FD_NETWORK_TOL) == (1e-6, 120, 1e-5)
+    prim = verify.fd_primitive_suite(seed=0)
     assert all(e["pass"] for e in prim), [e for e in prim if not e["pass"]]
-    net = verify.fd_network_suite(seed=0, samples=220, tol=1e-5)
+    assert all(e["tol"] == 1e-6 for e in prim)
+    net = verify.fd_network_suite(seed=0, samples=220)
     assert net["pass"], net
+    assert net["tol"] == 1e-5
     assert net["coords"] >= 200
     _line(3, "per-op FD worst %.3e <= 1e-6 (%d ops, 120 coords each); "
              "network FD worst %.3e <= 1e-5 over %d sampled parameters"
@@ -67,9 +72,11 @@ def test_criterion_03_finite_differences_match_analytic_gradients():
 
 
 def test_criterion_04_separable_convolution_routes_agree():
-    suite = verify.oracle_suite(seed=0, tol=1e-12)
+    assert verify.ORACLE_TOL == 1e-12
+    suite = verify.oracle_suite(seed=0)
     entry = next(e for e in suite if e["check"] == "oracle.separability")
     assert entry["pass"], entry
+    assert entry["tol"] == 1e-12
     _line(4, "depthwise-then-pointwise vs factorized standard conv, max rel "
              "err %.3e <= 1e-12 on random rank-1 kernels" % entry["max_err"])
 
@@ -139,10 +146,9 @@ def test_criterion_08_training_smoke_reaches_dice_and_reproduces():
     config = UNetConfig(widths=(8, 16), image_size=(32, 32, 32),
                         block_kind="mbconv", expand_ratio=2)
     pairs = [(p.volume, p.labels) for p in (make_phantom(s, 32) for s in range(25))]
-    schedule = LrSchedule(base_lr=3e-3)
     started = time.time()
     _, records = train(config, pairs[:20], seed=0, holdout=pairs[20:],
-                       steps=200, schedule=schedule)
+                       steps=200, base_lr=3e-3)
     wall = time.time() - started
     final = [r for r in records if r["kind"] == "eval"][-1]
     assert final["mean_dice"] >= 0.8, final
@@ -150,7 +156,7 @@ def test_criterion_08_training_smoke_reaches_dice_and_reproduces():
     # bitwise reproducibility: a fresh 40-step run must replay the exact
     # prefix of the 200-step log (losses, lrs, evals; summaries differ)
     _, rerun = train(config, pairs[:20], seed=0, holdout=pairs[20:],
-                     steps=40, schedule=schedule)
+                     steps=40, base_lr=3e-3)
     prefix = [r for r in rerun if r["kind"] != "summary"]
     assert records[:len(prefix)] == prefix
     _line(8, "holdout mean Dice %.4f >= 0.8 after 200 steps in %.0f s "
@@ -192,11 +198,11 @@ def test_criterion_10_ensemble_selector_matches_brute_force():
     expect_literal = int(np.argmin(literal_scores))
     expect_inverted = int(np.argmax(inverted_scores))
     assert expect_literal == 1 and expect_inverted == 0  # derived by hand
-    assert ensemble_select(dice, hists, vol, reading="literal", bins=4) \
+    assert ensemble_select(dice, hists, vol, reading="literal") \
         == expect_literal
-    assert ensemble_select(dice, hists, vol, reading="inverted", bins=4) \
+    assert ensemble_select(dice, hists, vol, reading="inverted") \
         == expect_inverted
-    assert ensemble_select(dice[:1], hists, vol, reading="literal", bins=4) == 0
+    assert ensemble_select(dice[:1], hists, vol, reading="literal") == 0
     _line(10, "literal reading selects index %d, inverted selects index %d, "
               "both equal to the brute-force weighted sums; single model -> 0"
           % (expect_literal, expect_inverted))

@@ -77,6 +77,15 @@ class TestGradcheck:
         assert any(not c["pass"] for c in report["checks"])
         assert "FAIL" in err
 
+    def test_worst_offender_is_a_failing_check(self, capsys):
+        # seed -1 fails only fd.network, on its kink count
+        code, report, err = run_json(capsys, ["gradcheck", "--seed", "-1"])
+        assert code == 1
+        failed = [line.split()[1] for line in err.splitlines() if line.startswith("FAIL ")]
+        assert failed == ["fd.network"]
+        assert report["worst"] == "fd.network"
+        assert err.splitlines()[-1] == "worst offender: fd.network"
+
     def test_unknown_preset(self, capsys):
         code, _, _ = run(capsys, ["gradcheck", "--config", "nope", "--seed", "0"])
         assert code == 2
@@ -129,6 +138,33 @@ class TestMemplan:
             report = json.loads(proc.stdout)
             assert 0 < report["search"]["estimate_bytes"] <= report["budget_bytes"]
 
+    @pytest.mark.parametrize("argv", [
+        ["--claims"], ["--config", "mbconv-base"],
+        ["--budget", "14GB", "--axis", "channels"],   # small enough to sit in the buffer
+    ], ids=["claims", "estimate", "budget"])
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_closed_stdout_exits_141_quietly(self, argv, unbuffered):
+        # the read end is closed before the child starts, so every write to
+        # stdout fails with EPIPE; a buffered small report fails only when flushed
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = src
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", "import sys; from revunet import cli; sys.exit(cli.main())",
+                 "memplan"] + argv,
+                env=env, stdout=write_end, stderr=subprocess.PIPE,
+                text=True, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141, proc.stderr
+        assert "error:" not in proc.stderr and "Traceback" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr
+
     def test_budget_without_axis(self, capsys):
         code, _, _ = run(capsys, ["memplan", "--budget", "14GB"])
         assert code == 2
@@ -156,6 +192,16 @@ class TestMemplan:
         for extra in ([], ["--compare"], ["--budget", "1GB", "--axis", "volume"]):
             code, out, err = run(capsys, ["memplan", "--config", str(bad)] + extra)
             assert code == 2 and out == "" and err.startswith("error: ")
+
+    def test_unknown_config_key_is_usage_error(self, capsys, tmp_path):
+        # a misspelt num_classes used to fall back to the default of 4 and exit 0
+        doc = {"widths": [4, 8], "image_size": [16, 16, 16], "expand_ratio": 2, "num_clases": 9}
+        bad = tmp_path / "typo.json"
+        bad.write_text(json.dumps(doc))
+        for extra in ([], ["--compare"], ["--budget", "1GB", "--axis", "volume"]):
+            code, out, err = run(capsys, ["memplan", "--config", str(bad)] + extra)
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and "'num_clases'" in err
 
 
 class TestPhantoms:
@@ -323,6 +369,21 @@ class TestTrainAndSegment:
         assert code == 2 and "not integers" in err
         assert not out.exists()
 
+    def test_transposed_parameter_file_is_usage_error(self, capsys, tmp_path):
+        model_dir = tmp_path / "m"
+        build("mbconv-base-toy", seed=0, precision="single").save(model_dir)
+        param = str(model_dir / "params" / "enc1.raise.w.rvt")
+        assert tensor_read(param).shape == (4, 2, 1, 1, 1)
+        # the same 8 elements, transposed: a count check alone would load it
+        tensor_write(np.ascontiguousarray(tensor_read(param).transpose(1, 0, 2, 3, 4)), param)
+        vol = str(tmp_path / "v.rvt")
+        tensor_write(np.zeros((1, 4, 16, 16, 16), dtype=np.float32), vol)
+        code, out, err = run(capsys, ["segment", "--model", str(model_dir), "--volume", vol,
+                                      "--out", str(tmp_path / "o.rvt")])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "enc1.raise.w" in err
+        assert not os.path.exists(tmp_path / "o.rvt")
+
     def test_manifest_escaping_model_dir_is_usage_error(self, capsys, tmp_path):
         model_dir = tmp_path / "m"
         build("mbconv-base-toy", seed=0, precision="single").save(model_dir)
@@ -339,38 +400,6 @@ class TestTrainAndSegment:
         assert code == 2
         assert "outside the model directory" in err
         assert not os.path.exists(tmp_path / "o.rvt")
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_class_labels_equal_argmax_bytes(dtype):
-    gen = np.random.default_rng(7)
-    shape = (2, 4, 5, 6, 7)
-    cases = {"random": gen.standard_normal(shape),
-             # few distinct values: ties between any classes, first ones included
-             "tied": gen.integers(-1, 2, shape).astype(float),
-             "signed zeros": np.where(gen.random(shape) < 0.5, -0.0, 0.0),
-             "all equal": np.ones(shape)}
-    nan = gen.standard_normal(shape)
-    nan[gen.random(shape) < 0.3] = np.nan
-    cases["nan"] = nan
-    # two NaNs with other payloads, and a NaN after the maximum: the first NaN wins
-    payloads = np.zeros(shape)
-    payloads[:, 1] = np.float64(np.nan)
-    payloads[:, 2] = -np.float64(np.nan)
-    payloads[:, 3] = np.inf
-    cases["nan payloads"] = payloads
-    mixed = np.zeros(shape)
-    mixed[:, 0], mixed[:, 1], mixed[:, 2], mixed[:, 3] = -np.inf, 3.0, np.nan, 3.0
-    cases["nan after max"] = mixed
-    for name, logits in cases.items():
-        logits = logits.astype(dtype)
-        labels = cli.class_labels(logits)
-        expected = np.argmax(logits, axis=1)
-        assert labels.dtype == expected.dtype, name
-        assert labels.tobytes() == expected.tobytes(), name
-    # a strided input and more classes than fit in four bits
-    wide = gen.standard_normal((1, 40, 3, 4, 5)).astype(dtype)[:, ::2]
-    assert cli.class_labels(wide).tobytes() == np.argmax(wide, axis=1).tobytes()
 
 
 class TestEnsembleSelect:
@@ -413,8 +442,8 @@ class TestEnsembleSelect:
         stats = json.load(open(stats_path))
         dice = [m["train_dice"] for m in stats["models"]]
         volume = tensor_read(vol_path)
-        scores = phantoms.ensemble_scores(dice, stats["train_histograms"], volume, reading, 4)
-        chosen = phantoms.ensemble_select(dice, stats["train_histograms"], volume, reading, 4)
+        scores = phantoms.ensemble_scores(dice, stats["train_histograms"], volume, reading)
+        chosen = phantoms.ensemble_select(dice, stats["train_histograms"], volume, reading)
         expected = {"schema_version": 1, "reading": reading, "scores": scores,
                     "selected_index": chosen, "selected_name": stats["models"][chosen]["name"]}
         calls = []
@@ -445,7 +474,11 @@ class TestEnsembleSelect:
     @pytest.mark.parametrize("doc", [
         {"models": [{"name": "good", "train_dice": []}], "train_histograms": []},
         [{"name": "good", "train_dice": [0.9]}],
-    ], ids=["no-histograms", "top-level-list"])
+        {"models": [{"name": "good", "train_dice": [0.9, 0.9]}],
+         "train_histograms": [[10, 0, 0, 0], [0, 0, 10]]},
+        {"models": [{"name": "good", "train_dice": [0.9, 0.9]}],
+         "train_histograms": [[10], [0]]},
+    ], ids=["no-histograms", "top-level-list", "ragged-histograms", "one-bin-histograms"])
     def test_bad_stats_layout_is_usage_error(self, capsys, tmp_path, doc):
         _, vol_path = self._write_inputs(tmp_path)
         stats_path = tmp_path / "bad.json"

@@ -163,6 +163,25 @@ class TestBudgetSearch:
         result = budget_search(config, budget, "volume")
         assert result["per_side_multiplier"] == best and result["image_size"] == dims(best)
 
+    # the linear-scan budgets above, plus ones between the toy's 0..5 added levels
+    @pytest.mark.parametrize("factor", [1.0, 1.17, 1.205, 1.213, 1.215, 1.5, 2.84, 10.0])
+    @pytest.mark.parametrize("config", [
+        PRESETS["mbconv-base"],   # room for one more level on its 160-voxel side
+        UNetConfig(widths=(4, 8), image_size=(64, 64, 64), expand_ratio=2),  # room for five
+    ], ids=["mbconv-base", "toy-64"])
+    def test_depth_search_matches_a_linear_scan(self, config, factor):
+        budget = int(estimate(config, "reversible", "single")["retained_bytes"] * factor)
+        widths = config.widths
+        while True:
+            deeper = dataclasses.replace(config, widths=widths + (widths[-1] * 2,))
+            if any(s % deeper.grid for s in config.image_size) or \
+                    estimate(deeper, "reversible", "single")["retained_bytes"] > budget:
+                break
+            widths = deeper.widths
+        result = budget_search(config, budget, "depth")
+        assert tuple(result["widths"]) == widths
+        assert result["added_levels"] == len(widths) - config.levels
+
     def test_below_base_budget_is_an_error(self):
         with pytest.raises(ValueError):
             budget_search("mbconv-base", 1000, "volume")

@@ -616,8 +616,6 @@ class TestGroupNorm:
         x = np.zeros((1, 4, 2, 2, 2))
         with pytest.raises(ShapeError):
             ops.group_norm(x, np.ones(4), np.zeros(4), group_size=3)
-        with pytest.raises(ValueError):
-            ops.group_norm(x, np.ones(4), np.zeros(4), group_size=2, eps=0.0)
 
     def test_group_size_rule(self):
         assert ops.group_size_for(30) == 10
@@ -799,9 +797,11 @@ class TestUpsample:
 
 class TestFiniteDifferences:
     def test_every_primitive_vjp(self):
-        checks = verify.fd_primitive_suite(0, tol=TOL_FD, coords_per_op=120)
+        assert (verify.FD_TOL, verify.FD_COORDS) == (TOL_FD, 120)
+        checks = verify.fd_primitive_suite(0)
         failed = [c for c in checks if not c["pass"]]
         assert not failed, failed
+        assert all(c["tol"] == TOL_FD for c in checks)
 
     def _relu_check(self, near_kink, analytic_shift=0.0):
         # coordinates within FD_STEP of the ReLU kink have no valid difference

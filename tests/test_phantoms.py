@@ -7,6 +7,7 @@ import pytest
 
 from revunet.phantoms import (
     AugmentParams,
+    ELASTIC_SIGMA,
     INTENSITY_LIMIT,
     NUM_CLASSES,
     Phantom,
@@ -22,9 +23,10 @@ from revunet.phantoms import (
     read_labels,
     sample_augment_params,
     write_corpus,
+    write_labels,
 )
 from revunet.rng import rng_for
-from revunet.tensor import tensor_write
+from revunet.tensor import tensor_read, tensor_write
 
 
 class TestMakePhantom:
@@ -152,7 +154,7 @@ class TestAugment:
             assert 1.0 - SCALE_LIMIT <= p.scale <= 1.0 + SCALE_LIMIT
             assert 1.0 - INTENSITY_LIMIT <= p.intensity <= 1.0 + INTENSITY_LIMIT
             assert len(p.flips) == 3 and all(isinstance(f, bool) for f in p.flips)
-            assert p.elastic_alpha == 6.0 and p.elastic_sigma == 8.0
+            assert p.elastic_alpha == 6.0 and ELASTIC_SIGMA == 8.0
 
 
 class TestHistogram:
@@ -218,16 +220,12 @@ class TestEnsembleSelect:
     VOL = np.full((4, 4, 4), 0.95)
 
     def test_discriminating_scenario(self):
-        assert ensemble_select(self.DICE, self.HISTS, self.VOL,
-                               reading="literal", bins=4) == 1
-        assert ensemble_select(self.DICE, self.HISTS, self.VOL,
-                               reading="inverted", bins=4) == 0
+        assert ensemble_select(self.DICE, self.HISTS, self.VOL, reading="literal") == 1
+        assert ensemble_select(self.DICE, self.HISTS, self.VOL, reading="inverted") == 0
 
     def test_scores_match_hand_computation(self):
-        lit = ensemble_scores(self.DICE, self.HISTS, self.VOL,
-                              reading="literal", bins=4)
-        inv = ensemble_scores(self.DICE, self.HISTS, self.VOL,
-                              reading="inverted", bins=4)
+        lit = ensemble_scores(self.DICE, self.HISTS, self.VOL, reading="literal")
+        inv = ensemble_scores(self.DICE, self.HISTS, self.VOL, reading="inverted")
         test_hist = histogram(self.VOL, bins=4)
         dists = [chi2_distance(test_hist, h) for h in self.HISTS]
         assert dists == [1.0, 0.0]
@@ -239,8 +237,7 @@ class TestEnsembleSelect:
 
     def test_single_model_always_selected(self):
         for reading in ("literal", "inverted"):
-            assert ensemble_select(self.DICE[:1], self.HISTS, self.VOL,
-                                   reading=reading, bins=4) == 0
+            assert ensemble_select(self.DICE[:1], self.HISTS, self.VOL, reading=reading) == 0
 
     def test_equal_distances_reduce_to_dice_ordering(self):
         # identical train histograms: every distance is the same constant, so
@@ -248,30 +245,49 @@ class TestEnsembleSelect:
         # wording rewards bad models once distances stop discriminating
         hists = [[5, 5, 0, 0], [5, 5, 0, 0]]
         vol = np.full((4, 4, 4), 0.3)
-        assert ensemble_select(self.DICE, hists, vol, reading="literal", bins=4) == 1
-        assert ensemble_select(self.DICE, hists, vol, reading="inverted", bins=4) == 0
+        assert ensemble_select(self.DICE, hists, vol, reading="literal") == 1
+        assert ensemble_select(self.DICE, hists, vol, reading="inverted") == 0
 
     def test_ties_break_to_lowest_index(self):
         dice = [[0.7, 0.7], [0.7, 0.7]]
         for reading in ("literal", "inverted"):
-            assert ensemble_select(dice, self.HISTS, self.VOL,
-                                   reading=reading, bins=4) == 0
+            assert ensemble_select(dice, self.HISTS, self.VOL, reading=reading) == 0
 
     def test_histogram_count_scale_invariance(self):
         scaled = (np.array(self.HISTS) * 5).tolist()
         for reading in ("literal", "inverted"):
-            assert (ensemble_scores(self.DICE, self.HISTS, self.VOL, reading, bins=4)
-                    == ensemble_scores(self.DICE, scaled, self.VOL, reading, bins=4))
+            assert (ensemble_scores(self.DICE, self.HISTS, self.VOL, reading)
+                    == ensemble_scores(self.DICE, scaled, self.VOL, reading))
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ensemble_scores([0.9, 0.5], self.HISTS, self.VOL, bins=4)  # not a matrix
+            ensemble_scores([0.9, 0.5], self.HISTS, self.VOL)  # not a matrix
         with pytest.raises(ValueError):
-            ensemble_scores([[0.9, np.nan], [0.5, 0.5]], self.HISTS, self.VOL, bins=4)
+            ensemble_scores([[0.9, np.nan], [0.5, 0.5]], self.HISTS, self.VOL)
         with pytest.raises(ValueError):
-            ensemble_scores(self.DICE, self.HISTS[:1], self.VOL, bins=4)
+            ensemble_scores(self.DICE, self.HISTS[:1], self.VOL)
         with pytest.raises(ValueError):
-            ensemble_scores(self.DICE, self.HISTS, self.VOL, reading="bogus", bins=4)
+            ensemble_scores(self.DICE, self.HISTS, self.VOL, reading="bogus")
+
+    @pytest.mark.parametrize("hists, message", [
+        ([[10, 0, 0, 0], [0, 0, 10]], "equal-length"),          # ragged
+        ([[0, 0, 10], [10, 0, 0, 0]], "equal-length"),
+        ([[10, 0, 0, 0], [[0, 0], [0, 10]]], "equal-length"),   # one histogram is 2-d
+        ([[[0, 0], [0, 10]]] * 2, "equal-length"),
+        ([1, 2], "equal-length"),                               # not histograms at all
+        ([[10], [0]], "at least 2 bins"),
+        ([[], []], "at least 2 bins"),
+    ], ids=["ragged", "ragged-short-first", "nested", "all-2d", "scalars", "one-bin", "no-bins"])
+    def test_histograms_must_share_a_length_of_at_least_two_bins(self, hists, message):
+        for reading in ("literal", "inverted"):
+            with pytest.raises(ValueError, match=message):
+                ensemble_scores(self.DICE, hists, self.VOL, reading)
+
+    def test_bin_count_comes_from_the_train_histograms(self):
+        # the same volume scored against 2-bin and 8-bin train histograms
+        for bins in (2, 8):
+            hists = [histogram(np.full(4, 0.1), bins), histogram(np.full(4, 0.9), bins)]
+            assert ensemble_select(self.DICE, hists, self.VOL, reading="literal") == 1
 
 
 class TestCorpus:
@@ -319,6 +335,17 @@ class TestReadLabels:
         labels[0, 0, 1, 2, 3] = bad
         with pytest.raises(ValueError, match="label map"):
             read_labels(self._write(tmp_path, labels))
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.intp, np.uint8])
+    def test_write_labels_round_trips_as_float32_rank5(self, tmp_path, dtype):
+        labels = (np.arange(60).reshape(3, 4, 5) % NUM_CLASSES).astype(dtype)
+        path = str(tmp_path / "w.rvt")
+        write_labels(path, labels)
+        assert tensor_read(path).dtype == np.float32 and tensor_read(path).shape == (1, 1, 3, 4, 5)
+        assert np.array_equal(read_labels(path), labels)
+        # the bytes segment and write_corpus stored before write_labels existed
+        tensor_write(labels.astype(np.float32).reshape((1, 1, 3, 4, 5)), str(tmp_path / "o.rvt"))
+        assert (tmp_path / "w.rvt").read_bytes() == (tmp_path / "o.rvt").read_bytes()
 
     def test_classes_bound_the_values(self, tmp_path):
         path = self._write(tmp_path, np.full((1, 1, 2, 2, 2), 5.0))

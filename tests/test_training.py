@@ -9,9 +9,14 @@ from revunet import memplan
 from revunet.phantoms import make_phantom
 from revunet.rng import rng_for
 from revunet.training import (
+    ADAM_EPS,
+    BASE_LR,
+    DROP_EPOCHS,
+    DROP_FACTOR,
+    TOTAL_EPOCHS,
     Adam,
-    LrSchedule,
     TrainingError,
+    class_labels,
     dice_score,
     evaluate,
     lr_at,
@@ -33,31 +38,28 @@ def _pairs(n, size=16, base_seed=100):
 
 class TestSchedule:
     def test_published_values(self):
-        s = LrSchedule()
-        assert lr_at(s, 0) == 1e-4
-        assert lr_at(s, 249) == 1e-4
-        assert lr_at(s, 250) == 2e-5
-        assert lr_at(s, 399) == 2e-5
+        assert (BASE_LR, DROP_FACTOR, DROP_EPOCHS, TOTAL_EPOCHS) == (1e-4, 5.0, (250, 400), 500)
+        assert lr_at(0) == 1e-4
+        assert lr_at(249) == 1e-4
+        assert lr_at(250) == 2e-5
+        assert lr_at(399) == 2e-5
         # two successive float divisions land one ulp off the literal 4e-6
-        assert lr_at(s, 400) == pytest.approx(4e-6, rel=1e-14)
-        assert lr_at(s, 499) == pytest.approx(4e-6, rel=1e-14)
+        assert lr_at(400) == pytest.approx(4e-6, rel=1e-14)
+        assert lr_at(499) == pytest.approx(4e-6, rel=1e-14)
 
     def test_non_increasing(self):
-        s = LrSchedule()
-        rates = [lr_at(s, e) for e in range(500)]
+        rates = [lr_at(e) for e in range(500)]
         assert all(a >= b for a, b in zip(rates, rates[1:]))
 
     def test_out_of_range(self):
-        s = LrSchedule()
         with pytest.raises(ValueError):
-            lr_at(s, -1)
+            lr_at(-1)
         with pytest.raises(ValueError):
-            lr_at(s, 500)
+            lr_at(500)
 
     def test_base_override_scales(self):
-        s = LrSchedule(base_lr=3e-3)
-        assert lr_at(s, 0) == 3e-3
-        assert lr_at(s, 250) == 3e-3 / 5
+        assert lr_at(0, 3e-3) == 3e-3
+        assert lr_at(250, 3e-3) == 3e-3 / 5
 
 
 class TestSoftDiceLoss:
@@ -126,6 +128,38 @@ class TestDiceScore:
         assert per_class_dice(pred, true, 3) == [1.0, 2 / 3, 0.0]
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_class_labels_equal_argmax_bytes(dtype):
+    gen = np.random.default_rng(7)
+    shape = (2, 4, 5, 6, 7)
+    cases = {"random": gen.standard_normal(shape),
+             # few distinct values: ties between any classes, first ones included
+             "tied": gen.integers(-1, 2, shape).astype(float),
+             "signed zeros": np.where(gen.random(shape) < 0.5, -0.0, 0.0),
+             "all equal": np.ones(shape)}
+    nan = gen.standard_normal(shape)
+    nan[gen.random(shape) < 0.3] = np.nan
+    cases["nan"] = nan
+    # two NaNs with other payloads, and a NaN after the maximum: the first NaN wins
+    payloads = np.zeros(shape)
+    payloads[:, 1] = np.float64(np.nan)
+    payloads[:, 2] = -np.float64(np.nan)
+    payloads[:, 3] = np.inf
+    cases["nan payloads"] = payloads
+    mixed = np.zeros(shape)
+    mixed[:, 0], mixed[:, 1], mixed[:, 2], mixed[:, 3] = -np.inf, 3.0, np.nan, 3.0
+    cases["nan after max"] = mixed
+    for name, logits in cases.items():
+        logits = logits.astype(dtype)
+        labels = class_labels(logits)
+        expected = np.argmax(logits, axis=1)
+        assert labels.dtype == expected.dtype, name
+        assert labels.tobytes() == expected.tobytes(), name
+    # a strided input and more classes than fit in four bits
+    wide = gen.standard_normal((1, 40, 3, 4, 5)).astype(dtype)[:, ::2]
+    assert class_labels(wide).tobytes() == np.argmax(wide, axis=1).tobytes()
+
+
 class TestAdam:
     def test_zero_grads_leave_params(self):
         model = build(TOY, seed=0)
@@ -153,6 +187,7 @@ class TestAdam:
         for _, leaf, attr, _ in model.parameters():
             leaf.grads[attr][...] = g
         opt.step(lr=lr)
+        assert ADAM_EPS == 1e-8
         expect = -lr * g / (abs(g) + 1e-8)
         for n, _, _, a in model.parameters():
             delta = a - before[n]
@@ -193,7 +228,7 @@ class TestTrainLoop:
         for run in range(2):
             path = tmp_path / ("m%d.jsonl" % run)
             model, records = train(TOY, pairs[:2], seed=4, holdout=pairs[2:],
-                                   steps=4, schedule=LrSchedule(base_lr=1e-3),
+                                   steps=4, base_lr=1e-3,
                                    metrics_path=path)
             out.append((model, records, path.read_bytes()))
         assert out[0][1] == out[1][1]
@@ -206,7 +241,7 @@ class TestTrainLoop:
         pairs = _pairs(2)
         path = tmp_path / "metrics.jsonl"
         _, records = train(TOY, pairs[:1], seed=0, holdout=pairs[1:],
-                           steps=2, schedule=LrSchedule(base_lr=1e-3),
+                           steps=2, base_lr=1e-3,
                            metrics_path=path)
         lines = [json.loads(line) for line in path.read_text().splitlines()]
         assert lines == records
@@ -220,7 +255,7 @@ class TestTrainLoop:
         pairs = _pairs(1)
         for strategy in ("reversible", "store-all"):
             _, records = train(TOY, pairs, seed=0, steps=1, strategy=strategy,
-                               schedule=LrSchedule(base_lr=1e-3))
+                               base_lr=1e-3)
             step = next(r for r in records if r["kind"] == "step")
             est = memplan.estimate(TOY, strategy, "single")
             assert step["peak_ledger_bytes"] == est["peak_bytes"]
@@ -228,7 +263,7 @@ class TestTrainLoop:
     def test_loss_decreases_on_fixed_sample(self):
         pairs = _pairs(2)
         _, records = train(TOY, pairs, seed=0, steps=20, augment_data=False,
-                           schedule=LrSchedule(base_lr=3e-3))
+                           base_lr=3e-3)
         losses = [r["loss"] for r in records if r["kind"] == "step"]
         assert losses[-1] < losses[0]
 

@@ -7,7 +7,7 @@ import pytest
 
 from revunet.engine import Tape
 from revunet.rng import rng_for
-from revunet.tensor import ShapeError
+from revunet.tensor import ShapeError, tensor_write
 from revunet.unet import (
     PRESETS,
     TOY_ANALOG,
@@ -92,6 +92,13 @@ class TestConfig:
     @pytest.mark.parametrize("doc", [[4, 8], "mbconv", 8, None])
     def test_documents_that_are_not_objects_are_refused(self, doc):
         with pytest.raises(ValueError, match="JSON object"):
+            UNetConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("extra", [{"num_clases": 9}, {"name": "toy"}, {"Widths": [4, 8]}])
+    def test_unknown_keys_are_refused_by_name(self, extra):
+        doc = dict(_toy().to_dict(), **extra)
+        (key,) = extra
+        with pytest.raises(ValueError, match=repr(key)):
             UNetConfig.from_dict(doc)
 
     def test_numpy_int_counts_are_accepted(self):
@@ -252,6 +259,20 @@ class TestSaveLoad:
         entry["file"] = "params/../../outside.rvt" if escape == "relative" else str(outside)
         (tmp_path / "m" / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="outside the model directory"):
+            Model.load(tmp_path / "m")
+
+    @pytest.mark.parametrize("name, shape", [
+        ("enc0.rev.f.expand.w", (2, 4, 1, 1, 1)),   # saved as (4, 2, 1, 1, 1)
+        ("enc0.rev.f.expand.w", (4, 1, 2, 1, 1)),
+        ("enc0.rev.f.expand.w", (8, 1, 1, 1, 1)),
+        ("enc0.rev.f.gn1.gamma", (1, 4, 1, 1, 1)),  # saved as (4, 1, 1, 1, 1)
+    ])
+    def test_parameter_file_of_another_shape_rejected(self, tmp_path, name, shape):
+        # the element count matches; only the shape is wrong
+        build(_toy(), seed=0, precision="single").save(tmp_path / "m")
+        data = np.arange(8, dtype=np.float32)[:int(np.prod(shape))].reshape(shape)
+        tensor_write(data, str(tmp_path / "m" / "params" / (name + ".rvt")))
+        with pytest.raises(ShapeError, match=name):
             Model.load(tmp_path / "m")
 
     def test_unknown_parameter_rejected(self, tmp_path):

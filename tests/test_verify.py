@@ -151,3 +151,22 @@ def test_a_corrupted_vjp_fails_its_own_check_and_the_network_check(op):
     assert report["pass"] is False
     assert status["fd." + op] is False
     assert status["fd.network"] is False
+    assert status[report["worst"]] is False
+
+
+@pytest.mark.parametrize("seed", [88, 105])
+def test_a_report_failing_on_kinks_alone_names_the_failing_check(seed):
+    # fd.network fails on its kink count while its error is inside tolerance,
+    # so the largest error ratio belongs to a check that passed
+    report = verify.gradcheck_report("mbconv-base", seed)
+    ratio = {c["check"]: c["max_err"] / max(c["tol"], 1e-30) for c in report["checks"]}
+    assert [c["check"] for c in report["checks"] if not c["pass"]] == ["fd.network"]
+    assert max(ratio, key=ratio.get) != "fd.network"
+    assert report["worst"] == "fd.network"
+
+
+def test_a_passing_report_names_the_largest_error_ratio():
+    report = verify.gradcheck_report("mbconv-base", 0)
+    assert report["pass"]
+    ratio = {c["check"]: c["max_err"] / max(c["tol"], 1e-30) for c in report["checks"]}
+    assert report["worst"] == max(ratio, key=ratio.get)

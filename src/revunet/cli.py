@@ -22,8 +22,6 @@ from .tensor import DTYPES, ShapeError, tensor_read
 from .training import BASE_LR, TrainingError, class_labels, per_class_dice, train
 from .unet import Model, crop_to_record, pad_to_grid, resolve_config
 
-_AXES = ("volume", "depth", "channels")
-
 
 def _emit(doc, out=None):
     text = json.dumps(doc, indent=2, sort_keys=True)
@@ -50,9 +48,8 @@ def cmd_gradcheck(args):
 
 
 def cmd_memplan(args):
-    precision = args.precision or "single"
     if args.claims:
-        report = memplan.claims_report(precision)
+        report = memplan.claims_report(args.precision)
         _status("volume multiplier (family max): %.4f"
                 % report["family"]["volume_multiplier_max"])
         _status("channel multiplier (family): %d..%d"
@@ -66,24 +63,24 @@ def cmd_memplan(args):
             raise ValueError("--budget requires --axis")
         budget = memplan.parse_budget(args.budget)
         found = memplan.budget_search(config, budget, args.axis,
-                                      strategy=args.strategy, precision=precision)
+                                      strategy=args.strategy, precision=args.precision)
         report = {"schema_version": 1, "budget_bytes": budget,
-                  "strategy": args.strategy, "precision": precision,
+                  "strategy": args.strategy, "precision": args.precision,
                   "search": found}
         _emit(report, args.out)
         return 0
     if args.compare:
-        both = {s: memplan.estimate(config, s, precision) for s in STRATEGIES}
+        both = {s: memplan.estimate(config, s, args.precision) for s in STRATEGIES}
         rows = [(s, both[s]["retained_bytes"]) for s in STRATEGIES]
         for s, retained in rows:
             _status("%-10s retained %d bytes" % (s, retained))
-        report = {"schema_version": 1, "precision": precision,
+        report = {"schema_version": 1, "precision": args.precision,
                   "store_all": both["store-all"], "reversible": both["reversible"],
                   "store_over_reversible": both["store-all"]["retained_bytes"]
                   / both["reversible"]["retained_bytes"]}
         _emit(report, args.out)
         return 0
-    _emit(memplan.estimate(config, args.strategy, precision), args.out)
+    _emit(memplan.estimate(config, args.strategy, args.precision), args.out)
     return 0
 
 
@@ -180,6 +177,8 @@ def cmd_ensemble_select(args):
     if not isinstance(stats, dict):
         raise ValueError("stats file must hold a JSON object")
     models = stats["models"]
+    if not (isinstance(models, list) and all(isinstance(m, dict) for m in models)):
+        raise ValueError("stats models must be a list of JSON objects")
     dice = np.array([m["train_dice"] for m in models], dtype=np.float64)
     volume = tensor_read(args.volume)
     scores = phantoms.ensemble_scores(dice, stats["train_histograms"], volume,
@@ -227,7 +226,7 @@ def build_parser():
     common(p, precision="single", strategy=True)
     p.add_argument("--budget", default=None,
                    help="byte budget, e.g. 14GB (decimal) or 2GiB (binary)")
-    p.add_argument("--axis", choices=_AXES, default=None)
+    p.add_argument("--axis", choices=memplan.AXES, default=None)
     p.add_argument("--compare", action="store_true",
                    help="store-all vs reversible side by side")
     p.add_argument("--claims", action="store_true",

@@ -67,7 +67,7 @@ class MemoryLedger:
         """{(node, reason): elements} for exact comparison against the estimate."""
         return {k: v["elements"] for k, v in self.entries.items()}
 
-    def report(self, strategy=None, precision=None):
+    def report(self):
         entries = [
             {"node": node, "reason": reason, "op": e["op"],
              "elements": e["elements"], "bytes": e["bytes"]}
@@ -75,8 +75,6 @@ class MemoryLedger:
         ]
         return {
             "schema_version": 1,
-            "strategy": strategy,
-            "precision": precision,
             "entries": entries,
             "retained_elements": int(self.retained_elements),
             "retained_bytes": int(self.retained_bytes),

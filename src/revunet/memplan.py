@@ -3,9 +3,11 @@
 estimate() recomputes, from the config alone, exactly what the runtime
 MemoryLedger will register under the engine's saved-context rules (see
 engine.py's table); for any executable config the two agree element for
-element. budget_search() answers "how far can one axis grow before the
-estimate exceeds a byte budget"; claims_report() runs the reversible
-vs store-all comparison the headline claims are about.
+element. budget_search() answers "how far can one axis of AXES grow
+before the estimate exceeds a byte budget" with one search for every axis:
+_grown() says how a config grows, one retained(config) <= budget test
+decides, and _largest() finds the edge. claims_report() runs the
+reversible vs store-all comparison the headline claims are about.
 
 Accounting scope: tensors saved for the backward pass only. Parameters
 and optimizer moments are excluded from "activation memory" and reported
@@ -13,6 +15,7 @@ separately. Batch size is 1 throughout.
 """
 
 import dataclasses
+import math
 
 from .engine import STRATEGIES
 from .ops import group_size_for
@@ -146,12 +149,20 @@ def element_map(est):
     return {(e["node"], e["reason"]): e["elements"] for e in est["entries"]}
 
 
-def _with_image(config, dims):
-    return dataclasses.replace(config, image_size=tuple(dims))
+AXES = ("volume", "depth", "channels")
 
 
-def _feasible(config, budget_bytes, strategy, precision):
-    return estimate(config, strategy, precision)["retained_bytes"] <= budget_bytes
+def _grown(config, axis, k):
+    """config grown by k on one axis: widths times k, k added levels each
+    twice the last width, or every side times k rounded down to the pooling grid."""
+    if axis == "channels":
+        return dataclasses.replace(config, widths=tuple(w * k for w in config.widths))
+    if axis == "depth":
+        added = tuple(config.widths[-1] * 2 ** i for i in range(1, k + 1))
+        return dataclasses.replace(config, widths=tuple(config.widths) + added)
+    g = config.grid
+    return dataclasses.replace(
+        config, image_size=tuple((int(k * side) // g) * g for side in config.image_size))
 
 
 def _largest(feasible, k):
@@ -170,87 +181,47 @@ def _largest(feasible, k):
     return k
 
 
-def _search_volume(config, budget_bytes, strategy, precision):
-    g = config.grid
-    base = config.image_size
-    base_voxels = base[0] * base[1] * base[2]
-
-    def dims_at(m):
-        return tuple((int(m * side) // g) * g for side in base)
-
-    def fits(m):
-        return _feasible(_with_image(config, dims_at(m)), budget_bytes, strategy, precision)
-
-    # the grid changes only where one side crosses a multiple of g, at
-    # m = k * g / side; take each side's largest such m that fits (sides
-    # are multiples of g, so k = side // g is m = 1), then the largest of those
-    m = max(_largest(lambda k: fits(k * g / side), side // g) * g / side for side in base)
-    dims = dims_at(m)
-    voxels = dims[0] * dims[1] * dims[2]
-    return {
-        "axis": "volume",
-        "base_image_size": list(base),
-        "image_size": list(dims),
-        "per_side_multiplier": m,
-        "voxel_multiplier": voxels / base_voxels,
-        "estimate_bytes": estimate(_with_image(config, dims), strategy, precision)["retained_bytes"],
-    }
-
-
-def _search_channels(config, budget_bytes, strategy, precision):
-    def fits(k):
-        wider = dataclasses.replace(config, widths=tuple(w * k for w in config.widths))
-        return _feasible(wider, budget_bytes, strategy, precision)
-
-    k = _largest(fits, 1)
-    chosen = dataclasses.replace(config, widths=tuple(w * k for w in config.widths))
-    return {
-        "axis": "channels",
-        "base_widths": list(config.widths),
-        "widths": list(chosen.widths),
-        "width_multiplier": k,
-        "estimate_bytes": estimate(chosen, strategy, precision)["retained_bytes"],
-    }
-
-
-def _search_depth(config, budget_bytes, strategy, precision):
-    def deeper(n):
-        added = tuple(config.widths[-1] * 2 ** i for i in range(1, n + 1))
-        return dataclasses.replace(config, widths=tuple(config.widths) + added)
-
-    # an added level only adds ledger entries and a coarser grid, so fits is monotone
-    def fits(n):
-        c = deeper(n)
-        return (not any(s % c.grid for s in config.image_size)
-                and _feasible(c, budget_bytes, strategy, precision))
-
-    chosen = deeper(_largest(fits, 0))
-    return {
-        "axis": "depth",
-        "base_levels": config.levels,
-        "levels": chosen.levels,
-        "widths": list(chosen.widths),
-        "added_levels": chosen.levels - config.levels,
-        "estimate_bytes": estimate(chosen, strategy, precision)["retained_bytes"],
-    }
-
-
 def budget_search(config, budget_bytes, axis, strategy="reversible", precision="single"):
-    """Largest scale on one axis whose estimate fits the byte budget."""
+    """Largest growth on one axis whose estimate fits the byte budget."""
     config = resolve_config(config)
-    if budget_bytes < estimate(config, strategy, precision)["retained_bytes"]:
+
+    def retained(c):
+        return estimate(c, strategy, precision)["retained_bytes"]
+
+    def fits(k):
+        return retained(_grown(config, axis, k)) <= budget_bytes
+
+    if budget_bytes < retained(config):
         raise ValueError("base config already exceeds the budget")
     if axis == "volume":
-        result = _search_volume(config, budget_bytes, strategy, precision)
+        g = config.grid
+        # the grid changes only where one side crosses a multiple of g, at
+        # m = k * g / side; take each side's largest such m that fits (sides
+        # are multiples of g, so k = side // g is m = 1), then the largest of those
+        k = max(_largest(lambda n: fits(n * g / side), side // g) * g / side
+                for side in config.image_size)
+        chosen = _grown(config, axis, k)
+        result = {"base_image_size": list(config.image_size),
+                  "image_size": list(chosen.image_size),
+                  "per_side_multiplier": k,
+                  "voxel_multiplier": math.prod(chosen.image_size) / math.prod(config.image_size)}
     elif axis == "channels":
-        result = _search_channels(config, budget_bytes, strategy, precision)
+        k = _largest(fits, 1)
+        chosen = _grown(config, axis, k)
+        result = {"base_widths": list(config.widths), "widths": list(chosen.widths),
+                  "width_multiplier": k}
     elif axis == "depth":
-        result = _search_depth(config, budget_bytes, strategy, precision)
+        # an added level only adds ledger entries and a coarser grid, so fits
+        # is monotone; each level doubles the grid, which the sides must divide
+        k = _largest(lambda n: not any(s % (config.grid << n) for s in config.image_size)
+                     and fits(n), 0)
+        chosen = _grown(config, axis, k)
+        result = {"base_levels": config.levels, "levels": chosen.levels,
+                  "widths": list(chosen.widths), "added_levels": k}
     else:
         raise ValueError("axis must be volume, channels, or depth")
-    result["budget_bytes"] = int(budget_bytes)
-    result["strategy"] = strategy
-    result["precision"] = precision
+    result.update(axis=axis, estimate_bytes=retained(chosen), budget_bytes=int(budget_bytes),
+                  strategy=strategy, precision=precision)
     return result
 
 
@@ -280,14 +251,13 @@ def claims_report(precision="single"):
             "store_all_bytes": store["retained_bytes"],
             "reversible_bytes": rev["retained_bytes"],
             "store_over_reversible": store["retained_bytes"] / rev["retained_bytes"],
-            "volume": budget_search(config, budget, "volume", "reversible", precision),
             "volume_ratio_continuous": budget / rev["retained_bytes"],
-            "channels": budget_search(config, budget, "channels", "reversible", precision),
-            "depth": budget_search(config, budget, "depth", "reversible", precision),
+            **{axis: budget_search(config, budget, axis, "reversible", precision)
+               for axis in AXES},
         }
     base = resolve_config("mbconv-base")
     deeper = resolve_config("mbconv-deeper")
-    base_at_deeper_size = _with_image(base, deeper.image_size)
+    base_at_deeper_size = dataclasses.replace(base, image_size=deeper.image_size)
     mb_base_rev = estimate("mbconv-base", "reversible", precision)
     report = {
         "schema_version": 1,

@@ -131,8 +131,8 @@ def augment(phantom, params, seed=None):
         raise ValueError("phantom volume %r does not match labels %r"
                          % (vol.shape, lab.shape))
     dims = lab.shape
-    grids = np.meshgrid(*(np.arange(n, dtype=np.float64) for n in dims), indexing="ij")
-    p = [g.copy() for g in grids]
+    # meshgrid's arrays own their data, so they are moved in place
+    p = list(np.meshgrid(*(np.arange(n, dtype=np.float64) for n in dims), indexing="ij"))
     if params.elastic_alpha != 0.0:
         if seed is None:
             raise ValueError("elastic warp needs a seed for its displacement field")

@@ -33,6 +33,10 @@ def _positive_int(v):
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v > 0
 
 
+# the fields a config file holds as JSON lists and a config holds as tuples
+_LIST_FIELDS = ("widths", "image_size")
+
+
 @dataclasses.dataclass(frozen=True)
 class UNetConfig:
     widths: tuple
@@ -53,7 +57,7 @@ class UNetConfig:
     def validate(self):
         if self.block_kind not in ("standard", "mbconv"):
             raise ValueError("block_kind must be 'standard' or 'mbconv'")
-        for name in ("widths", "image_size"):
+        for name in _LIST_FIELDS:
             values = getattr(self, name)
             if not (isinstance(values, (tuple, list)) and all(map(_positive_int, values))):
                 raise ValueError("%s must be a list of positive integers, got %r" % (name, values))
@@ -81,14 +85,10 @@ class UNetConfig:
                                  % (tuple(self.image_size), self.grid))
 
     def to_dict(self):
-        return {
-            "widths": list(self.widths),
-            "image_size": list(self.image_size),
-            "block_kind": self.block_kind,
-            "expand_ratio": self.expand_ratio,
-            "in_ch": self.in_ch,
-            "num_classes": self.num_classes,
-        }
+        d = dataclasses.asdict(self)
+        for name in _LIST_FIELDS:
+            d[name] = list(d[name])
+        return d
 
     @classmethod
     def from_dict(cls, d):
@@ -97,17 +97,11 @@ class UNetConfig:
         unknown = sorted(set(d) - {field.name for field in dataclasses.fields(cls)})
         if unknown:
             raise ValueError("unknown config keys: %s" % ", ".join(map(repr, unknown)))
-        for name in ("widths", "image_size"):
+        for name in _LIST_FIELDS:
             if not isinstance(d[name], list):
                 raise ValueError("%s must be a list of positive integers, got %r" % (name, d[name]))
-        return cls(
-            widths=tuple(d["widths"]),
-            image_size=tuple(d["image_size"]),
-            block_kind=d.get("block_kind", "mbconv"),
-            expand_ratio=d.get("expand_ratio"),
-            in_ch=d.get("in_ch", 4),
-            num_classes=d.get("num_classes", 4),
-        )
+        # keys left out take the field defaults
+        return cls(**{k: tuple(v) if k in _LIST_FIELDS else v for k, v in d.items()})
 
 
 PRESETS = {

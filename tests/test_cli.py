@@ -114,6 +114,11 @@ class TestMemplan:
         assert report["search"]["estimate_bytes"] <= 14_000_000_000
         assert report["search"]["axis"] == "volume"
 
+    def test_axis_choices_are_the_searchable_axes(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["memplan", "--help"])
+        assert "--axis {%s}" % ",".join(memplan.AXES) in capsys.readouterr().out
+
     def test_claims_report(self, capsys):
         code, report, _ = run_json(capsys, ["memplan", "--claims"])
         assert code == 0
@@ -486,6 +491,19 @@ class TestEnsembleSelect:
         code, out, _ = run(capsys, ["ensemble-select", "--stats", str(stats_path),
                                     "--volume", vol_path])
         assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize("models", [[[0.9, 0.9]], {"a": 1}],
+                             ids=["list-entry", "object"])
+    def test_models_not_a_list_of_objects_is_usage_error(self, capsys, tmp_path, models):
+        # refused before the volume is read: the volume path does not exist
+        stats_path = tmp_path / "bad.json"
+        stats_path.write_text(json.dumps({"models": models,
+                                          "train_histograms": [[10, 0, 0, 0]]}))
+        code, out, err = run(capsys, ["ensemble-select", "--stats", str(stats_path),
+                                      "--volume", str(tmp_path / "no.rvt")])
+        assert code == 2
+        assert err == "error: stats models must be a list of JSON objects\n"
         assert out == ""
 
     def test_missing_stats(self, capsys, tmp_path):

@@ -3,7 +3,7 @@
 import importlib.util
 import os
 
-from revunet import ops
+from revunet import memplan, ops
 
 TOOL = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "digest.py")
 
@@ -17,7 +17,7 @@ def _load():
 
 def test_digest_covers_every_entry():
     out = _load().digest()
-    assert len(out) == 34
+    assert len(out) == 40
     assert sum(k.startswith("model/") for k in out) == 12
     assert sum(k.startswith("gradcheck/0/corrupt/") for k in out) == 7
     assert sorted(k for k in out if k.startswith("fd-network/")) == ["fd-network/105",
@@ -25,6 +25,9 @@ def test_digest_covers_every_entry():
     assert sorted(k for k in out if k.startswith("kernel/")) == [
         "kernel/conv3d/double", "kernel/conv3d/single",
         "kernel/depthwise/double", "kernel/depthwise/single"]
+    assert sorted(k for k in out if k.startswith("budget/")) == sorted(
+        "budget/%s/%s" % (preset, axis)
+        for preset in ("mbconv-base", "mbconv-wider") for axis in memplan.AXES)
     assert all(len(v) == 64 and set(v) <= set("0123456789abcdef") for v in out.values())
 
 

@@ -87,10 +87,8 @@ class TestMemoryLedger:
         led = MemoryLedger()
         arr = np.zeros((1, 1, 2, 2, 2), dtype=np.float32)
         led.register("n1", "input", "pointwise", arr)
-        doc = led.report(strategy="store-all", precision="single")
+        doc = led.report()
         assert doc["schema_version"] == 1
-        assert doc["strategy"] == "store-all"
-        assert doc["precision"] == "single"
         assert doc["entries"] == [{"node": "n1", "reason": "input", "op": "pointwise",
                                    "elements": 8, "bytes": 32}]
         assert doc["retained_elements"] == 8

@@ -182,6 +182,18 @@ class TestBudgetSearch:
         assert tuple(result["widths"]) == widths
         assert result["added_levels"] == len(widths) - config.levels
 
+    @pytest.mark.parametrize("axis,keys", [
+        ("volume", {"base_image_size", "image_size", "per_side_multiplier", "voxel_multiplier"}),
+        ("channels", {"base_widths", "widths", "width_multiplier"}),
+        ("depth", {"base_levels", "levels", "widths", "added_levels"}),
+    ])
+    def test_each_axis_reports_its_own_keys(self, axis, keys):
+        base_bytes = estimate("mbconv-base", "reversible", "single")["retained_bytes"]
+        result = budget_search("mbconv-base", 2 * base_bytes, axis)
+        shared = {"axis", "estimate_bytes", "budget_bytes", "strategy", "precision"}
+        assert set(result) == keys | shared
+        assert result["axis"] == axis
+
     def test_below_base_budget_is_an_error(self):
         with pytest.raises(ValueError):
             budget_search("mbconv-base", 1000, "volume")

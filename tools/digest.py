@@ -18,14 +18,17 @@ epochs, and on epochs with steps also given; the JSON of
 `fd_network_suite(s, samples=60)` for s in {88, 105}, whose kink
 replacements draw extra probes; the JSON of `gradcheck_report("mbconv-base",
 0, corrupt=op)` for every op of `verify._CORRUPT_TARGETS`; the JSON of
-`claims_report("single")`; and, in both precisions, the forward, input
+`claims_report("single")`; for each axis, the JSON of `budget_search` on
+`mbconv-base` and on `mbconv-wider` at BUDGET_FACTORS times the preset's
+reversible estimate; and, in both precisions, the forward, input
 gradient and weight gradient of `ops.conv3d` (with its bias) and of
 `ops.depthwise_conv3d` on KERNEL_GRID, which the tap loop walks in several
 slabs, the last one short. It drives the package only through `build`,
 `Tape(ledger)`, `parameters()`, `training.train`, `gradcheck_report`,
-`fd_network_suite`, `_CORRUPT_TARGETS`, `claims_report`, the four `ops`
-conv kernels and the model's forward and backward, which earlier commits
-share, so the same script runs on both sides of a change.
+`fd_network_suite`, `_CORRUPT_TARGETS`, `claims_report`, `estimate`,
+`budget_search`, the four `ops` conv kernels and the model's forward and
+backward, which earlier commits share, so the same script runs on both
+sides of a change.
 """
 
 import hashlib
@@ -43,6 +46,12 @@ KINK_SEEDS = (88, 105)
 # (n, d, h, w) and channels of the kernel entries: several slabs at either precision
 KERNEL_GRID = (2, 20, 33, 35)
 KERNEL_CHANNELS = {"conv3d": (4, 5), "depthwise": (6, 6)}
+BUDGET_PRESETS = ("mbconv-base", "mbconv-wider")
+# spelled out rather than read from memplan.AXES, which older checkouts lack
+BUDGET_AXES = ("volume", "channels", "depth")
+# budgets as multiples of the reversible estimate: the base itself, between
+# grid steps, the claims' store-all ratio, and one that grows every axis
+BUDGET_FACTORS = (1.0, 1.5, 2.84, 10)
 
 
 class _Digest:
@@ -132,6 +141,12 @@ def _kernel_entry(ops, kind, precision):
     return d.hex()
 
 
+def _budget_entry(memplan, preset, axis):
+    base = memplan.estimate(preset, "reversible")["retained_bytes"]
+    return _json_entry([memplan.budget_search(preset, int(f * base), axis)
+                        for f in BUDGET_FACTORS])
+
+
 def _json_entry(doc):
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
@@ -159,6 +174,9 @@ def digest():
         out["gradcheck/0/corrupt/%s" % op] = _json_entry(
             verify.gradcheck_report("mbconv-base", 0, corrupt=op))
     out["claims/single"] = _json_entry(memplan.claims_report("single"))
+    for preset in BUDGET_PRESETS:
+        for axis in BUDGET_AXES:
+            out["budget/%s/%s" % (preset, axis)] = _budget_entry(memplan, preset, axis)
     for kind in KERNEL_CHANNELS:
         for precision in PRECISIONS:
             out["kernel/%s/%s" % (kind, precision)] = _kernel_entry(ops, kind, precision)

@@ -147,8 +147,9 @@ def cmd_segment(args):
         if truth.shape != volume.shape[2:]:
             raise ShapeError("reference labels %r do not match volume %r"
                              % (truth.shape, volume.shape[2:]))
-    volume = volume.astype(model.dtype, copy=False)
-    padded, record = pad_to_grid(volume, model.config.levels)
+    input_size = list(volume.shape[2:])
+    padded, record = pad_to_grid(volume.astype(model.dtype, copy=False), model.config.levels)
+    del volume   # the padded copy is all the forward reads
     logits = crop_to_record(model.forward(padded, None), record)
     labels = class_labels(logits)[0]
     phantoms.write_labels(args.out, labels)
@@ -157,7 +158,7 @@ def cmd_segment(args):
         "model": args.model,
         "volume": args.volume,
         "out": args.out,
-        "input_size": list(volume.shape[2:]),
+        "input_size": input_size,
         "padded_size": list(padded.shape[2:]),
         "class_voxels": [int((labels == c).sum())
                          for c in range(model.config.num_classes)],

@@ -22,12 +22,21 @@ Parameters are never counted. Scratch contexts materialized during the
 reversible backward (to re-run F and G) are deliberately unregistered:
 they exist one block at a time and are what the reversible strategy
 trades compute for.
+
+A rev block splits its input into channel halves. Wherever no tape saves
+a half (a forward without a tape, the reversible forward, `inverse`, and
+the stored output in the reversible backward) the halves are views, and
+the block writes both halves of its result into one array it allocates
+itself. Under store-all F and G save their inputs, so the halves are
+copies and the result is a concatenation: a saved half-view would pin the
+whole tensor while the ledger counts only half of it. No node writes into
+an array that another node returned.
 """
 
 import numpy as np
 
 from . import ops
-from .tensor import ShapeError, channel_split, channel_concat, ew_add, ew_sub
+from .tensor import ShapeError, channel_concat, channel_halves, channel_split, ew_add, ew_sub
 
 STRATEGIES = ("store-all", "reversible")
 
@@ -273,7 +282,8 @@ class RevBlock(Node):
     The tape's strategy decides what is kept. Under store-all F and G save
     their contexts on the tape. Under reversible they save nothing; backward
     reconstructs x2 = y2 - G(y1) from the stored output and re-runs G then F
-    exactly once each on one unregistered scratch tape.
+    exactly once each on one unregistered scratch tape. The halves are
+    views unless a tape saves them (see the module docstring).
     """
 
     op = "rev"
@@ -287,20 +297,27 @@ class RevBlock(Node):
         return [self.f, self.g]
 
     def forward(self, x, tape):
-        x1, x2 = channel_split(x)
-        inner = tape if tape is not None and tape.strategy == "store-all" else None
-        y1 = ew_add(x1, self.f.forward(x2, inner))
-        y2 = ew_add(x2, self.g.forward(y1, inner))
-        y = channel_concat(y1, y2)
-        if tape is not None and inner is None:
+        if tape is not None and tape.strategy == "store-all":
+            x1, x2 = channel_split(x)
+            y1 = ew_add(x1, self.f.forward(x2, tape))
+            y2 = ew_add(x2, self.g.forward(y1, tape))
+            return channel_concat(y1, y2)
+        x1, x2 = channel_halves(x)
+        y = np.empty_like(x)
+        y1, y2 = channel_halves(y)
+        ew_add(x1, self.f.forward(x2, None), out=y1)
+        ew_add(x2, self.g.forward(y1, None), out=y2)
+        if tape is not None:
             tape.save(self.name, "out", self.op, y)
         return y
 
     def inverse(self, y):
-        y1, y2 = channel_split(y)
-        x2 = ew_sub(y2, self.g.forward(y1, None))
-        x1 = ew_sub(y1, self.f.forward(x2, None))
-        return channel_concat(x1, x2)
+        y1, y2 = channel_halves(y)
+        x = np.empty_like(y)
+        x1, x2 = channel_halves(x)
+        ew_sub(y2, self.g.forward(y1, None), out=x2)
+        ew_sub(y1, self.f.forward(x2, None), out=x1)
+        return x
 
     def backward(self, dy, tape):
         dy1, dy2 = channel_split(dy)
@@ -308,7 +325,7 @@ class RevBlock(Node):
             dy1_total = ew_add(dy1, self.g.backward(dy2, tape))
             dx2 = ew_add(dy2, self.f.backward(dy1_total, tape))
         else:
-            y1, y2 = channel_split(tape.take(self.name, "out"))
+            y1, y2 = channel_halves(tape.take(self.name, "out"))
             # one tape suffices: G's backward takes back all G saved before F saves
             scratch = Tape()
             x2 = ew_sub(y2, self.g.forward(y1, scratch))

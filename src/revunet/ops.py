@@ -303,7 +303,7 @@ def pointwise_conv3d(x, w, b=None):
         raise ShapeError("pointwise channel mismatch: input %d, kernel %d" % (ci, w.shape[1]))
     out = np.matmul(w[:, :, 0, 0, 0], x.reshape(n, ci, -1)).reshape((n, co) + x.shape[2:])
     if b is not None:
-        out = out + b.reshape(1, co, 1, 1, 1)
+        out += b.reshape(1, co, 1, 1, 1)   # into matmul's fresh output, no second copy
     return out
 
 

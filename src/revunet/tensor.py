@@ -53,15 +53,22 @@ def check_tensor5(t: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(t)
 
 
-def channel_split(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split into contiguous channel halves [0, c/2) and [c/2, c)."""
+def channel_halves(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Views of the channel halves [0, c/2) and [c/2, c)."""
     c = t.shape[1]
     if c % 2 != 0:
-        raise ShapeError(f"channel_split needs an even channel count, got {c}")
+        raise ShapeError(f"channel halves need an even channel count, got {c}")
     half = c // 2
+    return t[:, :half], t[:, half:]
+
+
+def channel_split(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split into contiguous channel halves [0, c/2) and [c/2, c)."""
     # Copies, not views: a saved half-view (such as store-all F.expand's x2)
     # would pin the whole input while the ledger counts only half of it.
-    return t[:, :half].copy(), t[:, half:].copy()
+    # Where no tape saves a half, RevBlock takes channel_halves' views.
+    a, b = channel_halves(t)
+    return a.copy(), b.copy()
 
 
 def channel_concat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -73,16 +80,18 @@ def channel_concat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.concatenate([a, b], axis=1)
 
 
-def ew_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def ew_add(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """a + b, written into ``out`` when given (an array the caller allocated)."""
     if a.shape != b.shape:
         raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return a + b
+    return np.add(a, b, out=out)
 
 
-def ew_sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def ew_sub(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """a - b, written into ``out`` when given (an array the caller allocated)."""
     if a.shape != b.shape:
         raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return a - b
+    return np.subtract(a, b, out=out)
 
 
 def _finite(t: np.ndarray) -> bool:

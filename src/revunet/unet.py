@@ -33,6 +33,11 @@ def _positive_int(v):
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v > 0
 
 
+def _plain(v):
+    """A numpy integer as the Python int json can write; anything else as is."""
+    return int(v) if isinstance(v, np.integer) else v
+
+
 # the fields a config file holds as JSON lists and a config holds as tuples
 _LIST_FIELDS = ("widths", "image_size")
 
@@ -85,10 +90,9 @@ class UNetConfig:
                                  % (tuple(self.image_size), self.grid))
 
     def to_dict(self):
-        d = dataclasses.asdict(self)
-        for name in _LIST_FIELDS:
-            d[name] = list(d[name])
-        return d
+        """The JSON form: lists for the tuple fields, numpy integers as plain ints."""
+        return {k: [_plain(x) for x in v] if k in _LIST_FIELDS else _plain(v)
+                for k, v in dataclasses.asdict(self).items()}
 
     @classmethod
     def from_dict(cls, d):
@@ -183,15 +187,22 @@ class Level(Node):
             yield level
             level = level.down
 
-    # intermediates go straight into the next call, not into locals, so each
-    # is freed as soon as it has been read
+    # intermediates go straight into the next call, never into locals, so
+    # each is freed as soon as it has been read: the skip h is held only by
+    # _with_skip's frame, which ends once the add has read it
     def forward(self, x, tape):
-        h = self.rev.forward(self.raise_.forward(x, tape), tape)
         if self.down is None:
-            return h
-        low = self.down.forward(self.pool.forward(h, tape), tape)
-        return self.block.forward(
-            ew_add(self.reduce.forward(self.up.forward(low, tape), tape), h), tape)
+            return self._encode(x, tape)
+        return self.block.forward(self._with_skip(self._encode(x, tape), tape), tape)
+
+    def _encode(self, x, tape):
+        return self.rev.forward(self.raise_.forward(x, tape), tape)
+
+    def _with_skip(self, h, tape):
+        """The decoder block's input: the levels below run on pooled h, then
+        upsample, reduce and the skip add of h itself."""
+        return ew_add(self.reduce.forward(self.up.forward(
+            self.down.forward(self.pool.forward(h, tape), tape), tape), tape), h)
 
     def backward(self, dy, tape):
         if self.down is not None:

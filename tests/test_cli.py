@@ -11,7 +11,7 @@ import pytest
 from revunet import cli, memplan, phantoms
 from revunet.phantoms import read_corpus, write_corpus
 from revunet.tensor import _HEADER, MAGIC, tensor_read, tensor_write
-from revunet.unet import build
+from revunet.unet import build, crop_to_record, pad_to_grid
 
 MBCONV_BASE_REV_ELEMENTS = 2_948_362_279
 
@@ -277,6 +277,22 @@ class TestTrainAndSegment:
                                   "--volume", bad_vol, "--out",
                                   str(tmp_path / "x.rvt")])
         assert code == 2
+
+    def test_segment_pads_to_the_grid_and_crops_back(self, capsys, tmp_path):
+        # mbconv-base-toy pools 4 times: 13 -> 16, 16 stays, 9 -> 16
+        model_dir = str(tmp_path / "m")
+        model = build("mbconv-base-toy", seed=0, precision="single")
+        model.save(model_dir)
+        volume = np.random.default_rng(0).standard_normal((1, 4, 13, 16, 9)).astype(np.float32)
+        vol, seg = str(tmp_path / "v.rvt"), str(tmp_path / "seg.rvt")
+        tensor_write(volume, vol)
+        code, report, _ = run_json(capsys, ["segment", "--model", model_dir,
+                                            "--volume", vol, "--out", seg])
+        assert code == 0
+        assert report["input_size"] == [13, 16, 9] and report["padded_size"] == [16, 16, 16]
+        padded, record = pad_to_grid(volume, model.config.levels)
+        expected = crop_to_record(model.forward(padded, None), record).argmax(axis=1)
+        assert np.array_equal(tensor_read(seg)[0, 0], expected[0].astype(np.float32))
 
     def test_both_steps_and_epochs(self, capsys, tmp_path):
         code, _, err = run(

@@ -17,7 +17,8 @@ def _load():
 
 def test_digest_covers_every_entry():
     out = _load().digest()
-    assert len(out) == 40
+    assert len(out) == 41
+    assert "segment/segment-conv" in out
     assert sum(k.startswith("model/") for k in out) == 12
     assert sum(k.startswith("gradcheck/0/corrupt/") for k in out) == 7
     assert sorted(k for k in out if k.startswith("fd-network/")) == ["fd-network/105",

@@ -20,6 +20,7 @@ from revunet.engine import (
     walk,
 )
 from revunet.rng import rng_for
+from revunet.tensor import channel_concat, channel_split
 from revunet.training import Adam
 from revunet.unet import build
 
@@ -47,8 +48,71 @@ class _Identity(Node):
         return dy
 
 
+class _Spy(Node):
+    """Runs a block and keeps every input its forward is handed."""
+
+    op = "spy"
+
+    def __init__(self, block):
+        super().__init__(block.name)
+        self.block = block
+        self.inputs = []
+
+    def children(self):
+        return [self.block]
+
+    def forward(self, x, tape):
+        self.inputs.append(x)
+        return self.block.forward(x, tape)
+
+    def backward(self, dy, tape):
+        return self.block.backward(dy, tape)
+
+
 def _x(shape, seed=0, dtype=np.float64):
     return rng_for(seed, "engine-x").standard_normal(shape).astype(dtype)
+
+
+def _rev(kind, c, dtype):
+    """A rev block of two `kind` blocks on c/2 channels each, deterministically initialized."""
+    f = make_block(kind, "blk.f", c // 2, 2 if kind == "mbconv" else None, dtype)
+    g = make_block(kind, "blk.g", c // 2, 2 if kind == "mbconv" else None, dtype)
+    blk = RevBlock("blk", f, g)
+    gen = rng_for(0, "mb-init")
+    for leaf in walk(blk):
+        leaf.init_params(gen)
+    return blk
+
+
+# The coupling with every half a channel_split copy and every result a
+# channel_concat: the oracle the view-splitting RevBlock must match bitwise.
+def _copying_forward(blk, x, tape):
+    x1, x2 = channel_split(x)
+    inner = tape if tape is not None and tape.strategy == "store-all" else None
+    y1 = x1 + blk.f.forward(x2, inner)
+    y = channel_concat(y1, x2 + blk.g.forward(y1, inner))
+    if tape is not None and inner is None:
+        tape.save(blk.name, "out", blk.op, y)
+    return y
+
+
+def _copying_inverse(blk, y):
+    y1, y2 = channel_split(y)
+    x2 = y2 - blk.g.forward(y1, None)
+    return channel_concat(y1 - blk.f.forward(x2, None), x2)
+
+
+def _copying_backward(blk, dy, tape):
+    dy1, dy2 = channel_split(dy)
+    if tape.strategy == "store-all":
+        dy1_total = dy1 + blk.g.backward(dy2, tape)
+        return channel_concat(dy1_total, dy2 + blk.f.backward(dy1_total, tape))
+    y1, y2 = channel_split(tape.take(blk.name, "out"))
+    scratch = Tape()
+    x2 = y2 - blk.g.forward(y1, scratch)
+    dy1_total = dy1 + blk.g.backward(dy2, scratch)
+    blk.f.forward(x2, scratch)
+    return channel_concat(dy1_total, dy2 + blk.f.backward(dy1_total, scratch))
 
 
 class TestMemoryLedger:
@@ -161,22 +225,11 @@ class TestRevBlock:
             model.strategy = "magic"
         assert model.strategy == "reversible"
 
-    def _mbconv_rev(self):
-        dtype = np.float64
-        f = make_block("mbconv", "blk.f", 4, 2, dtype)
-        g = make_block("mbconv", "blk.g", 4, 2, dtype)
-        blk = RevBlock("blk", f, g)
-        gen = rng_for(0, "mb-init")
-        for half in (f, g):
-            for leaf in walk(half):
-                leaf.init_params(gen)
-        return blk
-
     def test_ledger_diff_between_strategies(self):
         x = _x((1, 8, 4, 4, 4))
 
         led_rev = MemoryLedger()
-        blk = self._mbconv_rev()
+        blk = _rev("mbconv", 8, np.float64)
         y = blk.forward(x, Tape(led_rev))
         # only the block output is retained; nothing from inside F or G
         assert set(led_rev.element_map()) == {("blk", "out")}
@@ -193,8 +246,42 @@ class TestRevBlock:
         assert ("blk.g.gn1", "xhat") in keys
         assert led_all.retained_elements > led_rev.retained_elements
 
+    @pytest.mark.parametrize("strategy, shares", [(None, True), ("reversible", True),
+                                                  ("store-all", False)])
+    def test_f_reads_a_view_unless_a_tape_saves_it(self, strategy, shares):
+        # a half-view saved on a tape would pin the whole input under a half-size entry
+        blk = _rev("mbconv", 8, np.float64)
+        blk.f = _Spy(blk.f)
+        tape = None
+        if strategy is not None:
+            tape = Tape(MemoryLedger())
+            tape.strategy = strategy
+        x = _x((1, 8, 4, 4, 4))
+        blk.forward(x, tape)
+        assert np.shares_memory(blk.f.inputs[0], x) == shares
+
+    @pytest.mark.parametrize("kind", ["mbconv", "standard"])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_views_match_the_copying_path_bitwise(self, kind, strategy, n):
+        # with n = 2 a channel half is not contiguous
+        x = _x((n, 8, 4, 4, 4), dtype=np.float32)
+        dy = _x((n, 8, 4, 4, 4), seed=1, dtype=np.float32)
+
+        def run(forward, inverse, backward):
+            blk = _rev(kind, 8, np.float32)
+            tape = Tape(MemoryLedger())
+            tape.strategy = strategy
+            y = forward(blk, x, tape)
+            out = [y, forward(blk, x, None), inverse(blk, y), backward(blk, dy, tape)]
+            return out + [leaf.grads[attr] for leaf in walk(blk) for attr in leaf.grads]
+
+        views = run(RevBlock.forward, RevBlock.inverse, RevBlock.backward)
+        copies = run(_copying_forward, _copying_inverse, _copying_backward)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(views, copies))
+
     def test_roundtrip_with_random_mbconv(self):
-        blk = self._mbconv_rev()
+        blk = _rev("mbconv", 8, np.float64)
         x = _x((1, 8, 4, 4, 4))
         y = blk.forward(x, None)
         assert np.abs(blk.inverse(y) - x).max() <= 1e-12

@@ -11,6 +11,7 @@ from revunet.tensor import (
     FormatError,
     ShapeError,
     channel_concat,
+    channel_halves,
     channel_split,
     check_tensor5,
     ew_add,
@@ -179,9 +180,16 @@ class TestShapeAlgebra:
         assert not np.array_equal(a, np.zeros_like(a))
         assert not np.array_equal(b, np.zeros_like(b))
 
+    def test_halves_are_views(self):
+        t = _rand((2, 6, 3, 3, 3), np.float64)
+        a, b = channel_halves(t)
+        assert a.base is t and b.base is t
+        assert np.array_equal(channel_concat(a, b), t)
+
     def test_split_odd_channels(self):
-        with pytest.raises(ShapeError):
-            channel_split(np.zeros((1, 3, 2, 2, 2), dtype=np.float32))
+        for split in (channel_split, channel_halves):
+            with pytest.raises(ShapeError):
+                split(np.zeros((1, 3, 2, 2, 2), dtype=np.float32))
 
     def test_concat_mismatches(self):
         a = np.zeros((1, 2, 2, 2, 2), dtype=np.float32)
@@ -195,6 +203,9 @@ class TestShapeAlgebra:
         b = _rand((1, 2, 2, 2, 2), np.float64, 2)
         assert np.array_equal(ew_add(a, b), a + b)
         assert np.array_equal(ew_sub(a, b), a - b)
+        out = np.empty_like(a)
+        assert ew_add(a, b, out=out) is out and np.array_equal(out, a + b)
+        assert ew_sub(a, b, out=out) is out and np.array_equal(out, a - b)
         with pytest.raises(ShapeError):
             ew_add(a, np.zeros((1, 2, 2, 2, 4)))
         with pytest.raises(ShapeError):

@@ -1,6 +1,8 @@
 """Architecture assembly: configs, presets, forward/backward, padding, save/load."""
 
+import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,6 +202,35 @@ class TestModel:
             assert np.any(leaf.grads[attr] != 0), name
 
 
+class TestInferenceMemory:
+    # segment-conv's benchmark config; one level-0 activation is 8 x 64^3 float32
+    SEGMENT = UNetConfig(widths=(8, 16, 32, 64), image_size=(64, 64, 64), block_kind="standard")
+    ACTIVATION = 8 * 64 ** 3 * 4
+    # measured 4.25 activations (numpy 2.4, Python 3.11), in level 0's
+    # upsample: the skip, the upsample's input, its 16-channel output and one
+    # more activation inside it. The bound keeps 0.25 of headroom. With
+    # copied rev-block halves, an out-of-place pointwise bias and the skip
+    # held through the decoder block, the same forward reads 5.25.
+    PEAK_ACTIVATIONS = 4.5
+
+    def test_tapeless_forward_peak(self):
+        model = build(self.SEGMENT, seed=0, precision="single")
+        x = rng_for(0, "x").standard_normal((1, 4) + self.SEGMENT.image_size).astype(np.float32)
+        gc.collect()
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            model.forward(x, None)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak <= self.PEAK_ACTIVATIONS * self.ACTIVATION, peak / self.ACTIVATION
+
+
 class TestPadding:
     def test_native_scan_size_pads_to_grid(self):
         vol = np.zeros((1, 4, 240, 240, 155), dtype=np.float32)
@@ -237,6 +268,17 @@ class TestSaveLoad:
             assert np.array_equal(pa, pb)
         x = rng_for(7, "x").standard_normal((1, 4, 8, 8, 8)).astype(np.float32)
         assert np.array_equal(model.forward(x, None), back.forward(x, None))
+
+    def test_numpy_int_counts_save_as_plain_ints(self, tmp_path):
+        cfg = UNetConfig(widths=tuple(np.array([4, 8])), image_size=(8, 8, np.int64(8)),
+                         block_kind="mbconv", expand_ratio=np.int32(2))
+        build(cfg, seed=1, precision="single").save(tmp_path / "numpy")
+        build(_toy(), seed=1, precision="single").save(tmp_path / "plain")
+        assert ((tmp_path / "numpy" / "config.json").read_bytes()
+                == (tmp_path / "plain" / "config.json").read_bytes())
+        back = Model.load(tmp_path / "numpy")
+        assert back.config == cfg
+        assert all(type(v) is int for v in back.config.widths + back.config.image_size)
 
     def test_missing_parameter_rejected(self, tmp_path):
         model = build(_toy(), seed=0)

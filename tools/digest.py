@@ -23,15 +23,21 @@ replacements draw extra probes; the JSON of `gradcheck_report("mbconv-base",
 reversible estimate; and, in both precisions, the forward, input
 gradient and weight gradient of `ops.conv3d` (with its bias) and of
 `ops.depthwise_conv3d` on KERNEL_GRID, which the tap loop walks in several
-slabs, the last one short. It drives the package only through `build`,
-`Tape(ledger)`, `parameters()`, `training.train`, `gradcheck_report`,
-`fd_network_suite`, `_CORRUPT_TARGETS`, `claims_report`, `estimate`,
-`budget_search`, the four `ops` conv kernels and the model's forward and
-backward, which earlier commits share, so the same script runs on both
-sides of a change.
+slabs, the last one short; and, for the standard-block SEGMENT_CONFIG model
+in single precision, its forward output without a tape on a 64^3 input
+and the label file of a `revunet segment` run on a SEGMENT_SIZE^3 phantom,
+which is padded up to the grid. It drives the package only through
+`build`, `Tape(ledger)`, `parameters()`, `training.train`,
+`gradcheck_report`, `fd_network_suite`, `_CORRUPT_TARGETS`,
+`claims_report`, `estimate`, `budget_search`, the four `ops` conv kernels,
+the model's forward, backward and `save`, `make_phantom`, `tensor_write`
+and `cli.main`, which earlier commits share, so the same script runs on
+both sides of a change.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import sys
@@ -52,6 +58,9 @@ BUDGET_AXES = ("volume", "channels", "depth")
 # budgets as multiples of the reversible estimate: the base itself, between
 # grid steps, the claims' store-all ratio, and one that grows every axis
 BUDGET_FACTORS = (1.0, 1.5, 2.84, 10)
+# the whole-volume inference entry: the config, and a phantom size that pads
+SEGMENT_CONFIG = dict(widths=(8, 16, 32, 64), image_size=(64, 64, 64), block_kind="standard")
+SEGMENT_SIZE = 60
 
 
 class _Digest:
@@ -141,6 +150,26 @@ def _kernel_entry(ops, kind, precision):
     return d.hex()
 
 
+def _segment_entry(unet, phantoms, tensor, cli):
+    d = _Digest()
+    config = unet.UNetConfig(**SEGMENT_CONFIG)
+    model = unet.build(config, 7, "single")
+    gen = np.random.default_rng(11)
+    x = gen.standard_normal((1, config.in_ch) + config.image_size).astype(model.dtype)
+    d.array("logits, no tape", model.forward(x, None))
+    with tempfile.TemporaryDirectory() as tmp:
+        model.save(os.path.join(tmp, "model"))
+        volume, out = os.path.join(tmp, "volume.rvt"), os.path.join(tmp, "labels.rvt")
+        tensor.tensor_write(phantoms.make_phantom(7, SEGMENT_SIZE).volume, volume)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["segment", "--model", os.path.join(tmp, "model"),
+                             "--volume", volume, "--out", out])
+        d.text("exit %d" % code)
+        with open(out, "rb") as f:
+            d.h.update(f.read())
+    return d.hex()
+
+
 def _budget_entry(memplan, preset, axis):
     base = memplan.estimate(preset, "reversible")["retained_bytes"]
     return _json_entry([memplan.budget_search(preset, int(f * base), axis)
@@ -152,7 +181,7 @@ def _json_entry(doc):
 
 
 def digest():
-    from revunet import engine, memplan, ops, phantoms, training, unet, verify
+    from revunet import cli, engine, memplan, ops, phantoms, tensor, training, unet, verify
 
     out = {}
     for config, label in (("mbconv-base-toy", "mbconv-base-toy"),
@@ -180,6 +209,7 @@ def digest():
     for kind in KERNEL_CHANNELS:
         for precision in PRECISIONS:
             out["kernel/%s/%s" % (kind, precision)] = _kernel_entry(ops, kind, precision)
+    out["segment/segment-conv"] = _segment_entry(unet, phantoms, tensor, cli)
     return out
 
 

@@ -58,9 +58,11 @@ def cmd_memplan(args):
         _emit(report, args.out)
         return 0
     config = resolve_config(args.config)
+    if args.budget is not None and args.axis is None:
+        raise ValueError("--budget requires --axis")
+    if args.axis is not None and args.budget is None:
+        raise ValueError("--axis requires --budget")
     if args.budget is not None:
-        if args.axis is None:
-            raise ValueError("--budget requires --axis")
         budget = memplan.parse_budget(args.budget)
         found = memplan.budget_search(config, budget, args.axis,
                                       strategy=args.strategy, precision=args.precision)

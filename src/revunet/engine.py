@@ -23,12 +23,11 @@ reversible backward (to re-run F and G) are deliberately unregistered:
 they exist one block at a time and are what the reversible strategy
 trades compute for.
 
-A rev block splits its input into channel halves. Wherever no tape saves
-a half (a forward without a tape, the reversible forward, `inverse`, and
-the stored output in the reversible backward) the halves are views, and
-the block writes both halves of its result into one array it allocates
-itself. Under store-all F and G save their inputs, so the halves are
-copies and the result is a concatenation: a saved half-view would pin the
+A rev block splits its input, and in backward its output gradient, into
+channel halves by views, under either strategy, and writes both halves of
+its result (y, x for `inverse`, dx in backward) into one array it
+allocates itself. The only copies are the two halves a store-all tape
+saves, F's input x2 and G's input y1: a saved half-view would pin the
 whole tensor while the ledger counts only half of it. No node writes into
 an array that another node returned.
 """
@@ -36,7 +35,7 @@ an array that another node returned.
 import numpy as np
 
 from . import ops
-from .tensor import ShapeError, channel_concat, channel_halves, channel_split, ew_add, ew_sub
+from .tensor import ShapeError, channel_halves, ew_add, ew_sub
 
 STRATEGIES = ("store-all", "reversible")
 
@@ -280,10 +279,11 @@ class RevBlock(Node):
     """Additive-coupling reversible block: y1 = x1 + F(x2), y2 = x2 + G(y1).
 
     The tape's strategy decides what is kept. Under store-all F and G save
-    their contexts on the tape. Under reversible they save nothing; backward
-    reconstructs x2 = y2 - G(y1) from the stored output and re-runs G then F
-    exactly once each on one unregistered scratch tape. The halves are
-    views unless a tape saves them (see the module docstring).
+    their contexts on the tape, so they are handed copies of x2 and y1.
+    Under reversible they save nothing; backward reconstructs
+    x2 = y2 - G(y1) from the stored output and re-runs G then F exactly
+    once each on one unregistered scratch tape. Everything else is the same
+    coupling on channel-half views (see the module docstring).
     """
 
     op = "rev"
@@ -297,17 +297,14 @@ class RevBlock(Node):
         return [self.f, self.g]
 
     def forward(self, x, tape):
-        if tape is not None and tape.strategy == "store-all":
-            x1, x2 = channel_split(x)
-            y1 = ew_add(x1, self.f.forward(x2, tape))
-            y2 = ew_add(x2, self.g.forward(y1, tape))
-            return channel_concat(y1, y2)
+        inner = tape if tape is not None and tape.strategy == "store-all" else None
         x1, x2 = channel_halves(x)
         y = np.empty_like(x)
         y1, y2 = channel_halves(y)
-        ew_add(x1, self.f.forward(x2, None), out=y1)
-        ew_add(x2, self.g.forward(y1, None), out=y2)
-        if tape is not None:
+        # F and G save their inputs only on a store-all tape: hand them copies there
+        ew_add(x1, self.f.forward(x2 if inner is None else x2.copy(), inner), out=y1)
+        ew_add(x2, self.g.forward(y1 if inner is None else y1.copy(), inner), out=y2)
+        if tape is not None and inner is None:
             tape.save(self.name, "out", self.op, y)
         return y
 
@@ -320,19 +317,21 @@ class RevBlock(Node):
         return x
 
     def backward(self, dy, tape):
-        dy1, dy2 = channel_split(dy)
+        dy1, dy2 = channel_halves(dy)
+        dx = np.empty_like(dy)
+        dx1, dx2 = channel_halves(dx)
         if tape.strategy == "store-all":
-            dy1_total = ew_add(dy1, self.g.backward(dy2, tape))
-            dx2 = ew_add(dy2, self.f.backward(dy1_total, tape))
+            ew_add(dy1, self.g.backward(dy2, tape), out=dx1)
+            ew_add(dy2, self.f.backward(dx1, tape), out=dx2)
         else:
             y1, y2 = channel_halves(tape.take(self.name, "out"))
             # one tape suffices: G's backward takes back all G saved before F saves
             scratch = Tape()
             x2 = ew_sub(y2, self.g.forward(y1, scratch))
-            dy1_total = ew_add(dy1, self.g.backward(dy2, scratch))
+            ew_add(dy1, self.g.backward(dy2, scratch), out=dx1)
             self.f.forward(x2, scratch)
-            dx2 = ew_add(dy2, self.f.backward(dy1_total, scratch))
-        return channel_concat(dy1_total, dx2)
+            ew_add(dy2, self.f.backward(dx1, scratch), out=dx2)
+        return dx
 
 
 def walk(node):

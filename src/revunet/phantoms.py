@@ -237,6 +237,8 @@ def select_from_scores(scores, reading):
 
 def write_corpus(path, count, size, seed):
     """Generate `count` phantoms deterministically and store them as RVT1 pairs."""
+    if count < 1:
+        raise ValueError("a corpus needs at least 1 phantom, got count %d" % count)
     dims = _normalize_size(size)
     os.makedirs(path, exist_ok=True)
     child_seeds = [int(x) for x in rng_for(seed, "corpus").integers(2 ** 31, size=count)]

@@ -62,24 +62,6 @@ def channel_halves(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t[:, :half], t[:, half:]
 
 
-def channel_split(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split into contiguous channel halves [0, c/2) and [c/2, c)."""
-    # Copies, not views: a saved half-view (such as store-all F.expand's x2)
-    # would pin the whole input while the ledger counts only half of it.
-    # Where no tape saves a half, RevBlock takes channel_halves' views.
-    a, b = channel_halves(t)
-    return a.copy(), b.copy()
-
-
-def channel_concat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Concatenate along the channel axis, a's channels first."""
-    if a.dtype != b.dtype:
-        raise ShapeError(f"precision mismatch: {a.dtype} vs {b.dtype}")
-    if a.shape[0] != b.shape[0] or a.shape[2:] != b.shape[2:]:
-        raise ShapeError(f"batch/spatial mismatch: {a.shape} vs {b.shape}")
-    return np.concatenate([a, b], axis=1)
-
-
 def ew_add(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
     """a + b, written into ``out`` when given (an array the caller allocated)."""
     if a.shape != b.shape:

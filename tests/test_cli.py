@@ -174,6 +174,11 @@ class TestMemplan:
         code, _, _ = run(capsys, ["memplan", "--budget", "14GB"])
         assert code == 2
 
+    def test_axis_without_budget(self, capsys):
+        code, out, err = run(capsys, ["memplan", "--axis", "volume"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "--axis requires --budget" in err
+
     def test_invalid_config_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"widths": [3, 6], "image_size": [8, 8, 8],
@@ -222,6 +227,15 @@ class TestPhantoms:
         assert disk_index == index
         assert len(pairs) == 2
         assert pairs[0][0].shape == (1, 4, 16, 16, 16)
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_count_below_one_is_refused_before_writing(self, capsys, tmp_path, count):
+        out = tmp_path / "c"
+        code, stdout, err = run(capsys, ["phantoms", "--out", str(out), "--count", count,
+                                         "--size", "16", "--seed", "1"])
+        assert code == 2 and stdout == ""
+        assert err.startswith("error: ") and "at least 1 phantom" in err
+        assert not out.exists()
 
 
 class TestTrainAndSegment:

@@ -17,8 +17,11 @@ def _load():
 
 def test_digest_covers_every_entry():
     out = _load().digest()
-    assert len(out) == 41
+    assert len(out) == 45
     assert "segment/segment-conv" in out
+    assert sorted(k for k in out if k.startswith("rev/")) == [
+        "rev/mbconv/reversible", "rev/mbconv/store-all",
+        "rev/standard/reversible", "rev/standard/store-all"]
     assert sum(k.startswith("model/") for k in out) == 12
     assert sum(k.startswith("gradcheck/0/corrupt/") for k in out) == 7
     assert sorted(k for k in out if k.startswith("fd-network/")) == ["fd-network/105",

@@ -10,9 +10,7 @@ from revunet.tensor import (
     MAGIC,
     FormatError,
     ShapeError,
-    channel_concat,
     channel_halves,
-    channel_split,
     check_tensor5,
     ew_add,
     ew_sub,
@@ -167,36 +165,15 @@ class TestShapeAlgebra:
         with pytest.raises(ShapeError):
             precision_of(np.zeros(1, dtype=np.int64))
 
-    def test_split_concat_roundtrip(self):
-        t = _rand((2, 6, 3, 3, 3), np.float64)
-        a, b = channel_split(t)
-        assert a.shape == (2, 3, 3, 3, 3) and b.shape == (2, 3, 3, 3, 3)
-        assert np.array_equal(channel_concat(a, b), t)
-
-    def test_split_returns_copies(self):
-        t = _rand((1, 4, 2, 2, 2), np.float64)
-        a, b = channel_split(t)
-        t[...] = 0
-        assert not np.array_equal(a, np.zeros_like(a))
-        assert not np.array_equal(b, np.zeros_like(b))
-
     def test_halves_are_views(self):
         t = _rand((2, 6, 3, 3, 3), np.float64)
         a, b = channel_halves(t)
         assert a.base is t and b.base is t
-        assert np.array_equal(channel_concat(a, b), t)
+        assert np.array_equal(np.concatenate([a, b], axis=1), t)
 
     def test_split_odd_channels(self):
-        for split in (channel_split, channel_halves):
-            with pytest.raises(ShapeError):
-                split(np.zeros((1, 3, 2, 2, 2), dtype=np.float32))
-
-    def test_concat_mismatches(self):
-        a = np.zeros((1, 2, 2, 2, 2), dtype=np.float32)
         with pytest.raises(ShapeError):
-            channel_concat(a, a.astype(np.float64))
-        with pytest.raises(ShapeError):
-            channel_concat(a, np.zeros((1, 2, 2, 2, 4), dtype=np.float32))
+            channel_halves(np.zeros((1, 3, 2, 2, 2), dtype=np.float32))
 
     def test_elementwise(self):
         a = _rand((1, 2, 2, 2, 2), np.float64, 1)

@@ -26,8 +26,13 @@ gradient and weight gradient of `ops.conv3d` (with its bias) and of
 slabs, the last one short; and, for the standard-block SEGMENT_CONFIG model
 in single precision, its forward output without a tape on a 64^3 input
 and the label file of a `revunet segment` run on a SEGMENT_SIZE^3 phantom,
-which is padded up to the grid. It drives the package only through
-`build`, `Tape(ledger)`, `parameters()`, `training.train`,
+which is padded up to the grid; and, for a single-precision `RevBlock` of
+two mbconv or two standard blocks under each strategy, on a REV_SHAPE
+input whose batch of 2 makes each channel half a non-contiguous view, the
+forward output with a tape and without one, the ledger after forward,
+`inverse`, the input gradient and every parameter gradient. It drives the
+package only through `build`, `Tape(ledger)`, `parameters()`,
+`make_block`, `RevBlock`, `walk`, `training.train`,
 `gradcheck_report`, `fd_network_suite`, `_CORRUPT_TARGETS`,
 `claims_report`, `estimate`, `budget_search`, the four `ops` conv kernels,
 the model's forward, backward and `save`, `make_phantom`, `tensor_write`
@@ -61,6 +66,8 @@ BUDGET_FACTORS = (1.0, 1.5, 2.84, 10)
 # the whole-volume inference entry: the config, and a phantom size that pads
 SEGMENT_CONFIG = dict(widths=(8, 16, 32, 64), image_size=(64, 64, 64), block_kind="standard")
 SEGMENT_SIZE = 60
+# the rev block entries: n = 2, so a channel half is not contiguous
+REV_SHAPE = (2, 8, 6, 7, 5)
 
 
 class _Digest:
@@ -170,6 +177,31 @@ def _segment_entry(unet, phantoms, tensor, cli):
     return d.hex()
 
 
+def _rev_entry(engine, blocks, kind, strategy):
+    d = _Digest()
+    half = REV_SHAPE[1] // 2
+    f, g = (blocks.make_block(kind, "rev." + h, half, 2 if kind == "mbconv" else None,
+                              np.float32) for h in "fg")
+    blk = engine.RevBlock("rev", f, g)
+    gen = np.random.default_rng(17)
+    for leaf in engine.walk(blk):
+        leaf.init_params(gen)
+    x = gen.standard_normal(REV_SHAPE).astype(np.float32)
+    dy = gen.standard_normal(REV_SHAPE).astype(np.float32)
+    tape = engine.Tape(engine.MemoryLedger())
+    tape.strategy = strategy
+    y = blk.forward(x, tape)
+    d.array("y", y)
+    d.json(tape.ledger.report())
+    d.array("y, no tape", blk.forward(x, None))
+    d.array("inverse", blk.inverse(y))
+    d.array("dx", blk.backward(dy, tape))
+    for leaf in engine.walk(blk):
+        for attr in sorted(leaf.grads):
+            d.array("%s.%s.grad" % (leaf.name, attr), leaf.grads[attr])
+    return d.hex()
+
+
 def _budget_entry(memplan, preset, axis):
     base = memplan.estimate(preset, "reversible")["retained_bytes"]
     return _json_entry([memplan.budget_search(preset, int(f * base), axis)
@@ -181,7 +213,7 @@ def _json_entry(doc):
 
 
 def digest():
-    from revunet import cli, engine, memplan, ops, phantoms, tensor, training, unet, verify
+    from revunet import blocks, cli, engine, memplan, ops, phantoms, tensor, training, unet, verify
 
     out = {}
     for config, label in (("mbconv-base-toy", "mbconv-base-toy"),
@@ -210,6 +242,9 @@ def digest():
         for precision in PRECISIONS:
             out["kernel/%s/%s" % (kind, precision)] = _kernel_entry(ops, kind, precision)
     out["segment/segment-conv"] = _segment_entry(unet, phantoms, tensor, cli)
+    for kind in ("mbconv", "standard"):
+        for strategy in STRATEGIES:
+            out["rev/%s/%s" % (kind, strategy)] = _rev_entry(engine, blocks, kind, strategy)
     return out
 
 

@@ -47,7 +47,21 @@ def cmd_gradcheck(args):
     return 0 if report["pass"] else 1
 
 
+MEMPLAN_CONFIG = "mbconv-base"
+MEMPLAN_STRATEGY = "reversible"
+
+
 def cmd_memplan(args):
+    searching = args.budget is not None or args.axis is not None
+    modes = [flag for flag, given in (("--claims", args.claims), ("--budget/--axis", searching),
+                                      ("--compare", args.compare)) if given]
+    if len(modes) > 1:
+        raise ValueError("%s cannot be combined" % " and ".join(modes))
+    if args.claims and (args.config is not None or args.strategy is not None):
+        raise ValueError("--claims covers every preset and strategy; "
+                         "it takes no --config or --strategy")
+    if args.compare and args.strategy is not None:
+        raise ValueError("--compare reports both strategies; it takes no --strategy")
     if args.claims:
         report = memplan.claims_report(args.precision)
         _status("volume multiplier (family max): %.4f"
@@ -57,7 +71,8 @@ def cmd_memplan(args):
                    report["family"]["channel_multiplier_max"]))
         _emit(report, args.out)
         return 0
-    config = resolve_config(args.config)
+    config = resolve_config(MEMPLAN_CONFIG if args.config is None else args.config)
+    strategy = args.strategy or MEMPLAN_STRATEGY
     if args.budget is not None and args.axis is None:
         raise ValueError("--budget requires --axis")
     if args.axis is not None and args.budget is None:
@@ -65,9 +80,9 @@ def cmd_memplan(args):
     if args.budget is not None:
         budget = memplan.parse_budget(args.budget)
         found = memplan.budget_search(config, budget, args.axis,
-                                      strategy=args.strategy, precision=args.precision)
+                                      strategy=strategy, precision=args.precision)
         report = {"schema_version": 1, "budget_bytes": budget,
-                  "strategy": args.strategy, "precision": args.precision,
+                  "strategy": strategy, "precision": args.precision,
                   "search": found}
         _emit(report, args.out)
         return 0
@@ -82,7 +97,7 @@ def cmd_memplan(args):
                   / both["reversible"]["retained_bytes"]}
         _emit(report, args.out)
         return 0
-    _emit(memplan.estimate(config, args.strategy, args.precision), args.out)
+    _emit(memplan.estimate(config, strategy, args.precision), args.out)
     return 0
 
 
@@ -152,7 +167,9 @@ def cmd_segment(args):
     input_size = list(volume.shape[2:])
     padded, record = pad_to_grid(volume.astype(model.dtype, copy=False), model.config.levels)
     del volume   # the padded copy is all the forward reads
-    logits = crop_to_record(model.forward(padded, None), record)
+    padded_size = list(padded.shape[2:])
+    padded = [padded]   # handed over, so the forward frees it after its first conv
+    logits = crop_to_record(model.forward(padded.pop(), None), record)
     labels = class_labels(logits)[0]
     phantoms.write_labels(args.out, labels)
     report = {
@@ -161,7 +178,7 @@ def cmd_segment(args):
         "volume": args.volume,
         "out": args.out,
         "input_size": input_size,
-        "padded_size": list(padded.shape[2:]),
+        "padded_size": padded_size,
         "class_voxels": [int((labels == c).sum())
                          for c in range(model.config.num_classes)],
     }
@@ -224,9 +241,13 @@ def build_parser():
     p.add_argument("--out", default=None, help="also write the JSON report here")
     p.set_defaults(func=cmd_gradcheck)
 
+    # --config and --strategy default to None so that cmd_memplan can refuse
+    # them where they would be ignored; the help names the real defaults
     p = sub.add_parser("memplan", help="activation-memory estimates and budget search")
-    p.add_argument("--config", default="mbconv-base")
-    common(p, precision="single", strategy=True)
+    p.add_argument("--config", default=None, help="default %s" % MEMPLAN_CONFIG)
+    common(p, precision="single")
+    p.add_argument("--strategy", choices=STRATEGIES, default=None,
+                   help="default %s" % MEMPLAN_STRATEGY)
     p.add_argument("--budget", default=None,
                    help="byte budget, e.g. 14GB (decimal) or 2GiB (binary)")
     p.add_argument("--axis", choices=memplan.AXES, default=None)

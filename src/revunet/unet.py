@@ -10,6 +10,17 @@ encoder, then a standard conv block. Head: pointwise to num_classes.
 Forward, backward and the leaf (parameter) order all follow this one
 nesting. Batch size is fixed at 1 (group norm makes this viable).
 
+A forward without a tape (inference) reduces before it upsamples in each
+decoder, so the reduce runs on the coarse grid and the upsample moves
+widths[i] channels, not widths[i+1]. Tape-less and taped logits therefore
+agree to rounding, not bit for bit
+(tests/test_unet.py::TestTapelessForward::test_tapeless_and_taped_logits_agree_to_rounding).
+Every forward hands its input over: no frame holds it after enc0.raise
+has read it, nor a pooled input after the next level's raise, so without
+a tape both are freed there unless the caller keeps a reference. On the
+`segment-conv` config the tape-less forward peaks at 3.50 level-0
+activations, in enc0.rev's group norms.
+
 A model serializes to a directory: config.json, manifest.json, and one
 RVT1 file per parameter (natural shapes padded to rank 5 with trailing
 ones).
@@ -155,6 +166,9 @@ class Level(Node):
     raise_ -> rev gives h. Above the bottom level, h is pooled and handed to
     `down` (level i+1); what comes back is upsampled, reduced, added to h as
     the skip and run through the decoder block. The bottom level stops at h.
+    Without a tape the reduce comes before the upsample (see the module
+    docstring), and the input is freed once raise_ has read it unless the
+    caller keeps its own reference.
     """
 
     op = "level"
@@ -189,18 +203,26 @@ class Level(Node):
 
     # intermediates go straight into the next call, never into locals, so
     # each is freed as soon as it has been read: the skip h is held only by
-    # _with_skip's frame, which ends once the add has read it
+    # _with_skip's frame, which ends once the add has read it. The input is
+    # handed over as well: boxed in a one-element list and popped at the
+    # raise conv, so no frame of the forward holds it past that read
     def forward(self, x, tape):
+        x = [x]
         if self.down is None:
             return self._encode(x, tape)
         return self.block.forward(self._with_skip(self._encode(x, tape), tape), tape)
 
-    def _encode(self, x, tape):
-        return self.rev.forward(self.raise_.forward(x, tape), tape)
+    def _encode(self, box, tape):
+        return self.rev.forward(self.raise_.forward(box.pop(), tape), tape)
 
     def _with_skip(self, h, tape):
         """The decoder block's input: the levels below run on pooled h, then
-        upsample, reduce and the skip add of h itself."""
+        upsample, reduce and the skip add of h itself. Without a tape the
+        reduce runs first, on the coarse grid: both ops are linear, and each
+        upsample row sums to 1, so they commute up to rounding."""
+        if tape is None:
+            return ew_add(self.up.forward(self.reduce.forward(
+                self.down.forward(self.pool.forward(h, None), None), None), None), h)
         return ew_add(self.reduce.forward(self.up.forward(
             self.down.forward(self.pool.forward(h, tape), tape), tape), tape), h)
 
@@ -285,7 +307,8 @@ class Model:
         if tape is not None:
             tape.version = self.param_version
             tape.strategy = self.strategy
-        return self.head.forward(self.top.forward(x, tape), tape)
+        x = [x]   # handed over: see Level.forward
+        return self.head.forward(self.top.forward(x.pop(), tape), tape)
 
     def backward(self, dlogits, tape):
         """Backpropagate through the forward that filled `tape`. Raises EngineError,

@@ -1,9 +1,11 @@
 """End-to-end command-line behavior: reports, files, and exit codes."""
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ import pytest
 from revunet import cli, memplan, phantoms
 from revunet.phantoms import read_corpus, write_corpus
 from revunet.tensor import _HEADER, MAGIC, tensor_read, tensor_write
-from revunet.unet import build, crop_to_record, pad_to_grid
+from revunet.unet import UNetConfig, build, crop_to_record, pad_to_grid
 
 MBCONV_BASE_REV_ELEMENTS = 2_948_362_279
 
@@ -170,6 +172,27 @@ class TestMemplan:
         assert "error:" not in proc.stderr and "Traceback" not in proc.stderr
         assert "Exception ignored" not in proc.stderr
 
+    def test_defaults_are_the_flagship_reversible_estimate(self, capsys):
+        code, report, _ = run_json(capsys, ["memplan"])
+        assert code == 0
+        assert report["strategy"] == "reversible"
+        assert report["retained_elements"] == MBCONV_BASE_REV_ELEMENTS
+
+    @pytest.mark.parametrize("argv", [
+        ["--claims", "--axis", "volume"],
+        ["--compare", "--budget", "100GB", "--axis", "volume"],
+        ["--claims", "--budget", "14GB", "--axis", "volume"],
+        ["--claims", "--compare"],
+        ["--claims", "--config", "mbconv-base"],
+        ["--claims", "--strategy", "reversible"],
+        ["--compare", "--strategy", "store-all"],
+    ])
+    def test_options_the_mode_would_ignore_are_refused(self, capsys, argv):
+        # each of these used to run one mode, ignore the rest and exit 0
+        code, out, err = run(capsys, ["memplan"] + argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+
     def test_budget_without_axis(self, capsys):
         code, _, _ = run(capsys, ["memplan", "--budget", "14GB"])
         assert code == 2
@@ -307,6 +330,38 @@ class TestTrainAndSegment:
         padded, record = pad_to_grid(volume, model.config.levels)
         expected = crop_to_record(model.forward(padded, None), record).argmax(axis=1)
         assert np.array_equal(tensor_read(seg)[0, 0], expected[0].astype(np.float32))
+
+    def test_segment_frees_the_volume_after_the_first_conv(self, capsys, tmp_path):
+        # segment-conv's benchmark config; one level-0 activation is 8 x 64^3
+        # float32. The padded volume (0.5) is freed once enc0.raise has read
+        # it, so the whole command peaks at the forward's 3.50 plus what
+        # loading the model and reading the volume leave live (3.62 measured,
+        # numpy 2.4, Python 3.11); holding the volume through the forward
+        # and upsampling before the reduce read 4.87
+        config = UNetConfig(widths=(8, 16, 32, 64), image_size=(64, 64, 64),
+                            block_kind="standard")
+        activation = 8 * 64 ** 3 * 4
+        model_dir = str(tmp_path / "m")
+        build(config, seed=0, precision="single").save(model_dir)
+        vol = str(tmp_path / "v.rvt")
+        tensor_write(np.random.default_rng(0).standard_normal((1, 4, 64, 64, 64))
+                     .astype(np.float32), vol)
+        gc.collect()
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            code = cli.main(["segment", "--model", model_dir, "--volume", vol,
+                             "--out", str(tmp_path / "seg.rvt")])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        assert peak <= 3.75 * activation, peak / activation
 
     def test_both_steps_and_epochs(self, capsys, tmp_path):
         code, _, err = run(

@@ -5,9 +5,10 @@ serve as the F or G half of a reversible block. The inverted bottleneck
 (expand pointwise -> GN -> ReLU -> depthwise -> GN -> ReLU -> project
 pointwise -> GN, no activation after the projection) carries no conv
 biases: every conv is followed by a group norm whose beta subsumes them.
+Each GN -> ReLU pair is one GroupNorm node with relu=True.
 """
 
-from .engine import Conv, GroupNorm, ReLU, Sequential, walk
+from .engine import Conv, GroupNorm, Sequential
 
 
 def mbconv_block(name, c, expand_ratio, dtype):
@@ -17,11 +18,9 @@ def mbconv_block(name, c, expand_ratio, dtype):
     tc = expand_ratio * c
     return Sequential(name, [
         Conv(name + ".expand", c, tc, 1, dtype),
-        GroupNorm(name + ".gn1", tc, dtype),
-        ReLU(name + ".relu1"),
+        GroupNorm(name + ".gn1", tc, dtype, relu=True),
         Conv(name + ".dw", tc, tc, 3, dtype, depthwise=True),
-        GroupNorm(name + ".gn2", tc, dtype),
-        ReLU(name + ".relu2"),
+        GroupNorm(name + ".gn2", tc, dtype, relu=True),
         Conv(name + ".project", tc, c, 1, dtype),
         GroupNorm(name + ".gn3", c, dtype),
     ])
@@ -31,8 +30,7 @@ def standard_block(name, c, dtype):
     """Plain 3x3x3 conv -> group norm -> ReLU."""
     return Sequential(name, [
         Conv(name + ".conv", c, c, 3, dtype),
-        GroupNorm(name + ".gn", c, dtype),
-        ReLU(name + ".relu"),
+        GroupNorm(name + ".gn", c, dtype, relu=True),
     ])
 
 
@@ -43,7 +41,3 @@ def make_block(kind, name, c, expand_ratio, dtype):
         return standard_block(name, c, dtype)
     raise ValueError("unknown block kind %r" % (kind,))
 
-
-def param_count(block):
-    """Exact scalar-parameter count by enumerating the constructed arrays."""
-    return sum(int(arr.size) for node in walk(block) for _, arr in node.param_items())

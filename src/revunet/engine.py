@@ -6,8 +6,10 @@ Every node saves a fixed, documented context for its backward pass:
   node          saved context (ledger reason)
   ============  =========================================
   conv          input (pointwise, standard and depthwise)
-  group norm    xhat, rstd
-  relu          input
+  group norm    xhat, rstd; with its ReLU fused in, nothing
+                more: the ReLU runs in place on the group
+                norm's output, and backward rebuilds its
+                input gamma*xhat + beta bit for bit
   maxpool       idx (argmax indices, one per output voxel)
   upsample      nothing (linear; VJP is the transpose)
   rev block     nothing under store-all beyond what its
@@ -187,12 +189,16 @@ class Conv(Node):
 
 
 class GroupNorm(Node):
+    """Group norm, followed by a ReLU when ``relu``: the pair is one node
+    with one context, xhat and rstd, saved under the group norm's name."""
+
     op = "groupnorm"
 
-    def __init__(self, name, c, dtype):
+    def __init__(self, name, c, dtype, relu=False):
         super().__init__(name)
         self.c = c
         self.group_size = ops.group_size_for(c)
+        self.relu = relu
         self.gamma = np.ones(c, dtype=dtype)
         self.beta = np.zeros(c, dtype=dtype)
         self.grads = {"gamma": np.zeros_like(self.gamma), "beta": np.zeros_like(self.beta)}
@@ -201,6 +207,8 @@ class GroupNorm(Node):
         if x.shape[1] != self.c:
             raise ShapeError("%s expects %d channels, got %d" % (self.name, self.c, x.shape[1]))
         y, xhat, rstd = ops.group_norm(x, self.gamma, self.beta, self.group_size)
+        if self.relu:
+            ops.relu(y, out=y)
         if tape is not None:
             tape.save(self.name, "xhat", self.op, xhat)
             tape.save(self.name, "rstd", self.op, rstd)
@@ -209,24 +217,17 @@ class GroupNorm(Node):
     def backward(self, dy, tape):
         xhat = tape.take(self.name, "xhat")
         rstd = tape.take(self.name, "rstd")
-        dx, dgamma, dbeta = ops.group_norm_bwd(xhat, rstd, self.gamma, dy, self.group_size)
+        if self.relu:
+            # the ReLU's input, by the multiply and add group_norm made, is
+            # overwritten by the masked dy, which then serves as dxhat's buffer
+            pre = np.multiply(self.gamma.reshape(1, self.c, 1, 1, 1), xhat)
+            pre += self.beta.reshape(1, self.c, 1, 1, 1)
+            dy = ops.relu_bwd(pre, dy, out=pre)
+        dx, dgamma, dbeta = ops.group_norm_bwd(xhat, rstd, self.gamma, dy, self.group_size,
+                                               overwrite_dy=self.relu)
         self.grads["gamma"] += dgamma
         self.grads["beta"] += dbeta
         return dx
-
-
-class ReLU(Node):
-    op = "relu"
-
-    def forward(self, x, tape):
-        y = ops.relu(x)
-        if tape is not None:
-            tape.save(self.name, "input", self.op, x)
-        return y
-
-    def backward(self, dy, tape):
-        x = tape.take(self.name, "input")
-        return ops.relu_bwd(x, dy)
 
 
 class MaxPool2(Node):

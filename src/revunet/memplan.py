@@ -25,7 +25,8 @@ from .unet import resolve_config
 ACCOUNTING_RULES = [
     "convolutions (standard, pointwise, depthwise) save their input",
     "group norm saves the normalized tensor and one inverse-std scalar per group",
-    "relu saves its input",
+    "relu is fused into the group norm it follows and saves nothing: backward "
+    "rebuilds its input from the normalized tensor",
     "maxpool saves argmax indices, one integer (at scalar width) per output voxel",
     "trilinear upsample, add, split, and concat save nothing (linear / index ops)",
     "store-all mode: reversible blocks save nothing beyond their sub-blocks' contexts",
@@ -59,11 +60,9 @@ def _entries(config, strategy):
                         (p + ".expand", "input", "pointwise", half * s[i]),
                         (p + ".gn1", "xhat", "groupnorm", tc * s[i]),
                         (p + ".gn1", "rstd", "groupnorm", tc // group_size_for(tc)),
-                        (p + ".relu1", "input", "relu", tc * s[i]),
                         (p + ".dw", "input", "depthwise", tc * s[i]),
                         (p + ".gn2", "xhat", "groupnorm", tc * s[i]),
                         (p + ".gn2", "rstd", "groupnorm", tc // group_size_for(tc)),
-                        (p + ".relu2", "input", "relu", tc * s[i]),
                         (p + ".project", "input", "pointwise", tc * s[i]),
                         (p + ".gn3", "xhat", "groupnorm", half * s[i]),
                         (p + ".gn3", "rstd", "groupnorm", half // group_size_for(half)),
@@ -73,7 +72,6 @@ def _entries(config, strategy):
                         (p + ".conv", "input", "conv", half * s[i]),
                         (p + ".gn", "xhat", "groupnorm", half * s[i]),
                         (p + ".gn", "rstd", "groupnorm", half // group_size_for(half)),
-                        (p + ".relu", "input", "relu", half * s[i]),
                     ])
         else:
             out.append(("enc%d.rev" % i, "out", "rev", c * s[i]))
@@ -85,7 +83,6 @@ def _entries(config, strategy):
             ("dec%d.conv" % i, "input", "conv", widths[i] * s[i]),
             ("dec%d.gn" % i, "xhat", "groupnorm", widths[i] * s[i]),
             ("dec%d.gn" % i, "rstd", "groupnorm", widths[i] // group_size_for(widths[i])),
-            ("dec%d.relu" % i, "input", "relu", widths[i] * s[i]),
         ])
     out.append(("head", "input", "pointwise", widths[0] * s[0]))
     return out

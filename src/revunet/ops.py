@@ -376,14 +376,17 @@ def group_norm(x, gamma, beta, group_size):
     return out, xhat, rstd
 
 
-def group_norm_bwd(xhat, rstd, gamma, dy, group_size):
+def group_norm_bwd(xhat, rstd, gamma, dy, group_size, overwrite_dy=False):
+    """Returns (dx, dgamma, dbeta); with overwrite_dy, dy's buffer holds the
+    dxhat work array, for a caller that reads dy no more."""
     n, c = dy.shape[:2]
     g = c // group_size
     inner = (n, g, group_size) + dy.shape[2:]
     axes = (2, 3, 4, 5)
     dgamma = (dy * xhat).sum(axis=(0, 2, 3, 4))
     dbeta = dy.sum(axis=(0, 2, 3, 4))
-    dxhat = (dy * gamma.reshape(1, c, 1, 1, 1)).reshape(inner)
+    dxhat = np.multiply(dy, gamma.reshape(1, c, 1, 1, 1),
+                        out=dy if overwrite_dy else None).reshape(inner)
     xh = xhat.reshape(inner)
     m1 = _mean(dxhat, axes)
     prod = dxhat * xh
@@ -395,12 +398,12 @@ def group_norm_bwd(xhat, rstd, gamma, dy, group_size):
     return dx, dgamma, dbeta
 
 
-def relu(x):
-    return np.maximum(x, x.dtype.type(0))
+def relu(x, out=None):
+    return np.maximum(x, x.dtype.type(0), out=out)
 
 
-def relu_bwd(x, dy):
-    return dy * (x > 0)
+def relu_bwd(x, dy, out=None):
+    return np.multiply(dy, x > 0, out=out)
 
 
 def _slots(a, axis):

@@ -216,20 +216,14 @@ def ensemble_scores(per_model_train_dice, train_histograms, test_volume, reading
     raise ValueError("reading must be 'literal' or 'inverted'")
 
 
-def ensemble_select(per_model_train_dice, train_histograms, test_volume, reading="literal"):
-    """Pick a model for the test volume by distance-weighted training Dice.
+def select_from_scores(scores, reading):
+    """Pick a model for the test volume from its ensemble_scores.
 
     literal reading: argmin of sum_j chi2(test, train_j) * dice[m, j] - the
     published "lowest weighted sum" wording taken at face value. inverted
     reading: argmax with similarity weights (1 - chi2). Ties break to the
     lowest index.
     """
-    return select_from_scores(ensemble_scores(per_model_train_dice, train_histograms,
-                                              test_volume, reading), reading)
-
-
-def select_from_scores(scores, reading):
-    """The model ensemble_select picks, given the ensemble_scores it would compute."""
     if reading == "literal":
         return int(np.argmin(scores))
     return int(np.argmax(scores))

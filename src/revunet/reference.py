@@ -112,23 +112,6 @@ def trilinear_upsample_points(x):
     return out
 
 
-def finite_difference_grad(f, x, step=1e-5, coords=None):
-    """Central-difference gradient of scalar f at x, optionally on a coord subset."""
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    flat = x.reshape(-1)
-    idx = range(flat.size) if coords is None else coords
-    for j in idx:
-        orig = flat[j]
-        flat[j] = orig + step
-        hi = f(x)
-        flat[j] = orig - step
-        lo = f(x)
-        flat[j] = orig
-        grad.reshape(-1)[j] = (hi - lo) / (2.0 * step)
-    return grad
-
-
 def relative_error(analytic, numeric, floor=1e-6):
     """Elementwise |a - n| / max(|a|, |n|, floor); the gradcheck comparison rule."""
     a = np.asarray(analytic, dtype=np.float64)

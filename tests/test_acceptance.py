@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from helpers import ensemble_select, param_count
 from revunet import blocks, memplan, verify
 from revunet.engine import MemoryLedger, Tape
 from revunet.phantoms import (
@@ -19,7 +20,6 @@ from revunet.phantoms import (
     SCALE_LIMIT,
     augment,
     chi2_distance,
-    ensemble_select,
     histogram,
     make_phantom,
     sample_augment_params,
@@ -132,8 +132,8 @@ def test_criterion_07_mbconv_blocks_use_fewer_parameters():
     t = 2
     rows = []
     for c in (30, 60, 120, 180, 240, 480):
-        mb = blocks.param_count(blocks.make_block("mbconv", "m", c, t, np.float64))
-        std = blocks.param_count(blocks.make_block("standard", "s", c, None, np.float64))
+        mb = param_count(blocks.make_block("mbconv", "m", c, t, np.float64))
+        std = param_count(blocks.make_block("standard", "s", c, None, np.float64))
         assert mb == 2 * t * c * c + 27 * t * c + 4 * t * c + 2 * c
         assert std == 27 * c * c + 2 * c
         assert mb < std, c

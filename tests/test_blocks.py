@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from revunet.blocks import make_block, mbconv_block, param_count, standard_block
+from helpers import param_count
+from revunet.blocks import make_block, mbconv_block, standard_block
 from revunet.engine import Conv, MemoryLedger, Tape, walk
 from revunet.ops import group_size_for
 from revunet.rng import rng_for
@@ -47,15 +48,16 @@ class TestStructure:
     def test_mbconv_stage_order(self):
         blk = mbconv_block("b", 4, 2, np.float64)
         assert [n.op for n in blk.nodes] == [
-            "pointwise", "groupnorm", "relu", "depthwise", "groupnorm", "relu",
-            "pointwise", "groupnorm"]
+            "pointwise", "groupnorm", "depthwise", "groupnorm", "pointwise", "groupnorm"]
         assert [n.name for n in blk.nodes] == [
-            "b.expand", "b.gn1", "b.relu1", "b.dw", "b.gn2", "b.relu2",
-            "b.project", "b.gn3"]
+            "b.expand", "b.gn1", "b.dw", "b.gn2", "b.project", "b.gn3"]
+        # gn1 and gn2 carry the block's two ReLUs; the projection stays linear
+        assert [n.relu for n in blk.nodes if n.op == "groupnorm"] == [True, True, False]
 
     def test_standard_stage_order(self):
         blk = standard_block("b", 4, np.float64)
-        assert [n.op for n in blk.nodes] == ["conv", "groupnorm", "relu"]
+        assert [n.op for n in blk.nodes] == ["conv", "groupnorm"]
+        assert blk.nodes[1].relu
 
     def test_no_conv_biases(self):
         for blk, n_convs in ((mbconv_block("b", 4, 2, np.float64), 3),

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import finite_difference_grad
 from revunet import ops, reference, verify
 from revunet.engine import Tape
 from revunet.rng import rng_for
@@ -832,9 +833,9 @@ class TestFiniteDifferences:
         w = gen.standard_normal((2, 2, 3, 3, 3)) * 0.5
         r = gen.standard_normal((1, 2, 3, 3, 3))
         dx, dw, _ = ops.conv3d_bwd(x, w, r, False)
-        fd_x = reference.finite_difference_grad(
+        fd_x = finite_difference_grad(
             lambda a: float((ops.conv3d(a, w) * r).sum()), x)
-        fd_w = reference.finite_difference_grad(
+        fd_w = finite_difference_grad(
             lambda a: float((ops.conv3d(x, a) * r).sum()), w)
         assert verify._rel(dx, fd_x) <= TOL_FD
         assert verify._rel(dw, fd_w) <= TOL_FD

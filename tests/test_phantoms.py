@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from helpers import ensemble_select
 from revunet.phantoms import (
     AugmentParams,
     ELASTIC_SIGMA,
@@ -16,7 +17,6 @@ from revunet.phantoms import (
     augment,
     chi2_distance,
     ensemble_scores,
-    ensemble_select,
     histogram,
     make_phantom,
     read_corpus,

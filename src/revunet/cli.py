@@ -191,6 +191,11 @@ def cmd_segment(args):
     return 0
 
 
+def _numbers(v):
+    """A JSON list of numbers."""
+    return isinstance(v, list) and all(isinstance(x, (int, float)) for x in v)
+
+
 def cmd_ensemble_select(args):
     with open(args.stats) as f:
         stats = json.load(f)
@@ -199,10 +204,14 @@ def cmd_ensemble_select(args):
     models = stats["models"]
     if not (isinstance(models, list) and all(isinstance(m, dict) for m in models)):
         raise ValueError("stats models must be a list of JSON objects")
+    if not all(_numbers(m.get("train_dice")) for m in models):
+        raise ValueError("stats models must each hold a train_dice list of numbers")
+    histograms = stats["train_histograms"]
+    if not (isinstance(histograms, list) and all(map(_numbers, histograms))):
+        raise ValueError("stats train_histograms must be a list of lists of numbers")
     dice = np.array([m["train_dice"] for m in models], dtype=np.float64)
     volume = tensor_read(args.volume)
-    scores = phantoms.ensemble_scores(dice, stats["train_histograms"], volume,
-                                      reading=args.reading)
+    scores = phantoms.ensemble_scores(dice, histograms, volume, reading=args.reading)
     chosen = phantoms.select_from_scores(scores, args.reading)
     report = {
         "schema_version": 1,
@@ -234,7 +243,8 @@ def build_parser():
 
     p = sub.add_parser("gradcheck", help="round-trip, oracle, and finite-difference suites")
     p.add_argument("--config", default="mbconv-base",
-                   help="preset name or config JSON; desk presets run their toy analog")
+                   help="preset name or config JSON for the round-trip suite, the only "
+                        "one that uses it; paper-scale presets run their toy analog")
     common(p, seed=True)
     p.add_argument("--corrupt-op", default=None,
                    help="test hook: perturb the named op's VJP to force a failure")

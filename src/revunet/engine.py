@@ -16,7 +16,7 @@ Every node saves a fixed, documented context for its backward pass:
                 sub-blocks save; only its output ("out")
                 under reversible
   level         nothing (its children save their own)
-  add/split/..  nothing
+  add           nothing
   ============  =========================================
 
 The MemoryLedger counts exactly the arrays registered under these rules.
@@ -223,7 +223,7 @@ class GroupNorm(Node):
             pre = np.multiply(self.gamma.reshape(1, self.c, 1, 1, 1), xhat)
             pre += self.beta.reshape(1, self.c, 1, 1, 1)
             dy = ops.relu_bwd(pre, dy, out=pre)
-        dx, dgamma, dbeta = ops.group_norm_bwd(xhat, rstd, self.gamma, dy, self.group_size,
+        dx, dgamma, dbeta = ops.group_norm_bwd(xhat, rstd, self.gamma, dy,
                                                overwrite_dy=self.relu)
         self.grads["gamma"] += dgamma
         self.grads["beta"] += dbeta
@@ -240,9 +240,7 @@ class MaxPool2(Node):
         return y
 
     def backward(self, dy, tape):
-        idx = tape.take(self.name, "idx")
-        # exact: maxpool3d refuses odd spatial dims
-        return ops.maxpool3d_bwd(idx, idx.shape[:2] + tuple(2 * s for s in idx.shape[2:]), dy)
+        return ops.maxpool3d_bwd(tape.take(self.name, "idx"), dy)
 
 
 class Upsample2(Node):
@@ -252,7 +250,7 @@ class Upsample2(Node):
         return ops.trilinear_upsample(x)
 
     def backward(self, dy, tape):
-        return ops.trilinear_upsample_bwd(dy, dy.shape[:2] + tuple(s // 2 for s in dy.shape[2:]))
+        return ops.trilinear_upsample_bwd(dy)
 
 
 class Sequential(Node):
@@ -336,7 +334,8 @@ class RevBlock(Node):
 
 
 def walk(node):
-    """Yield leaf nodes (parameter holders and primitives) in execution order."""
+    """Yield leaf nodes (parameter holders and primitives) in the order a taped
+    forward runs them; a forward without a tape reduces before it upsamples."""
     kids = node.children()
     if not kids:
         yield node

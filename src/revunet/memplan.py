@@ -28,7 +28,7 @@ ACCOUNTING_RULES = [
     "relu is fused into the group norm it follows and saves nothing: backward "
     "rebuilds its input from the normalized tensor",
     "maxpool saves argmax indices, one integer (at scalar width) per output voxel",
-    "trilinear upsample, add, split, and concat save nothing (linear / index ops)",
+    "trilinear upsample and the elementwise adds save nothing (linear ops)",
     "store-all mode: reversible blocks save nothing beyond their sub-blocks' contexts",
     "reversible mode: sub-blocks save nothing; each reversible block saves only its output",
     "the loss is terminal and saves nothing; parameters are never activations",

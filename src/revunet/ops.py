@@ -376,12 +376,13 @@ def group_norm(x, gamma, beta, group_size):
     return out, xhat, rstd
 
 
-def group_norm_bwd(xhat, rstd, gamma, dy, group_size, overwrite_dy=False):
+def group_norm_bwd(xhat, rstd, gamma, dy, overwrite_dy=False):
     """Returns (dx, dgamma, dbeta); with overwrite_dy, dy's buffer holds the
-    dxhat work array, for a caller that reads dy no more."""
+    dxhat work array, for a caller that reads dy no more. The group count is
+    rstd's second axis."""
     n, c = dy.shape[:2]
-    g = c // group_size
-    inner = (n, g, group_size) + dy.shape[2:]
+    g = rstd.shape[1]
+    inner = (n, g, c // g) + dy.shape[2:]
     axes = (2, 3, 4, 5)
     dgamma = (dy * xhat).sum(axis=(0, 2, 3, 4))
     dbeta = dy.sum(axis=(0, 2, 3, 4))
@@ -453,9 +454,10 @@ def maxpool3d(x, need_idx):
     return out, code.astype(np.int32 if x.dtype == np.float32 else np.int64)
 
 
-def maxpool3d_bwd(idx, in_shape, dy):
-    # each window slot j = 4 dz + 2 dy + dx takes dy where it won and zero elsewhere
-    dx = np.empty(in_shape, dtype=dy.dtype)
+def maxpool3d_bwd(idx, dy):
+    # each window slot j = 4 dz + 2 dy + dx takes dy where it won and zero
+    # elsewhere; the input is twice idx spatially (maxpool3d refuses odd dims)
+    dx = np.empty(idx.shape[:2] + tuple(2 * s for s in idx.shape[2:]), dtype=dy.dtype)
     zero = dy.dtype.type(0)
     for j in range(8):
         dx[:, :, j >> 2::2, (j >> 1) & 1::2, j & 1::2] = np.where(idx == j, dy, zero)
@@ -492,9 +494,9 @@ def trilinear_upsample(x):
     return np.ascontiguousarray(out)
 
 
-def trilinear_upsample_bwd(dy, in_shape):
+def trilinear_upsample_bwd(dy):
     # linear map, so the VJP is the transpose applied in reverse axis order
     dx = dy
     for axis in (4, 3, 2):
-        dx = _apply_axis(dx, _upsample_matrix(in_shape[axis], dy.dtype).T, axis)
+        dx = _apply_axis(dx, _upsample_matrix(dy.shape[axis] // 2, dy.dtype).T, axis)
     return np.ascontiguousarray(dx)

@@ -278,8 +278,14 @@ def read_corpus(path, classes=NUM_CLASSES):
     """Load a stored corpus; returns (list of (volume, labels), index doc)."""
     with open(os.path.join(path, "index.json")) as f:
         index = json.load(f)
+    items = index.get("items") if isinstance(index, dict) else None
+    if not (isinstance(items, list) and all(
+            isinstance(item, dict) and isinstance(item.get("volume"), str)
+            and isinstance(item.get("labels"), str) for item in items)):
+        raise ValueError("corpus index.json must hold a JSON object whose items are "
+                         "objects with a volume and a labels string")
     pairs = []
-    for item in index["items"]:
+    for item in items:
         vol = tensor_read(os.path.join(path, item["volume"]))
         pairs.append((vol, read_labels(os.path.join(path, item["labels"]), classes)))
     return pairs, index

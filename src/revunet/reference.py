@@ -111,10 +111,3 @@ def trilinear_upsample_points(x):
                         out[ni, ch, z, y, xx] = acc
     return out
 
-
-def relative_error(analytic, numeric, floor=1e-6):
-    """Elementwise |a - n| / max(|a|, |n|, floor); the gradcheck comparison rule."""
-    a = np.asarray(analytic, dtype=np.float64)
-    n = np.asarray(numeric, dtype=np.float64)
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
-    return np.abs(a - n) / denom

@@ -341,10 +341,18 @@ class Model:
         """
         with open(os.path.join(path, "config.json")) as f:
             doc = json.load(f)
+        if not (isinstance(doc, dict) and isinstance(doc.get("precision"), str)):
+            raise ValueError("config.json must hold a JSON object with a precision string")
         model = cls(UNetConfig.from_dict(doc["config"]), doc["precision"])
         with open(os.path.join(path, "manifest.json")) as f:
             manifest = json.load(f)
-        by_name = {entry["name"]: entry for entry in manifest["params"]}
+        params = manifest.get("params") if isinstance(manifest, dict) else None
+        if not (isinstance(params, list) and all(
+                isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("file"), str) for entry in params)):
+            raise ValueError("manifest.json must hold a JSON object whose params are "
+                             "objects with a name and a file string")
+        by_name = {entry["name"]: entry for entry in params}
         for name, leaf, attr, arr in model.parameters():
             entry = by_name.pop(name, None)
             if entry is None:

@@ -1,10 +1,12 @@
 """Verification suites: round-trips, naive-oracle comparisons, finite
 differences, and store-all vs reversible gradient equivalence.
 
-Relative errors are |a - b| / max(|a|, |b|, floor) per coordinate; the
-floor keeps coordinates whose true gradient is below measurement noise
-from dominating. Every suite is deterministic given its seed and
-checks against the *_TOL constants below, except roundtrip_suite's `tol`.
+Arrays compare by _rel, max|a - b| / max(max|a|, max|b|, floor); a
+finite-difference probe compares two floats by the same rule with
+FD_FLOOR, which keeps coordinates whose true gradient is below
+measurement noise from dominating. _entry alone turns a suite's errors
+into a check: their np.max, which a NaN error wins, against one of the
+*_TOL constants below. Every suite is deterministic given its seed.
 
 fd_network_suite re-runs only what a probe changes. Each probe moves one
 parameter scalar, so most leaf nodes see the same input and parameters
@@ -24,6 +26,7 @@ context has exited.
 """
 
 import contextlib
+import math
 
 import numpy as np
 
@@ -45,6 +48,9 @@ FD_TOL = 1e-6
 FD_COORDS = 120
 FD_NETWORK_TOL = 1e-5
 EQUIV_TOL = 1e-10
+# round-trip tolerance by precision; single is the measured worst case
+# 2.9e-6 across the toy presets, frozen with margin
+ROUNDTRIP_TOL = {"double": 1e-10, "single": 1e-5}
 # largest share of finite-difference probes that may straddle a kink
 KINK_SHARE = 0.1
 # gradcheck_report: models inverted per report, parameters probed in fd.network
@@ -52,8 +58,12 @@ ROUNDTRIP_SEEDS = 5
 NETWORK_SAMPLES = 60
 
 
-def _entry(name, err, tol):
-    return {"check": name, "max_err": float(err), "tol": float(tol), "pass": bool(err <= tol)}
+def _entry(name, errors, tol, valid=True):
+    """A check from its errors, a sequence or one value: the worst, and a
+    pass when it is within tol and the measurement was valid; a NaN is the
+    worst and fails."""
+    err, tol = float(np.max(errors, initial=0.0)), float(tol)
+    return {"check": name, "max_err": err, "tol": tol, "pass": err <= tol and valid}
 
 
 def _rel(a, b, floor=1e-30):
@@ -66,10 +76,15 @@ def _rel(a, b, floor=1e-30):
     return float(np.abs(a - b).max()) / scale
 
 
-def roundtrip_suite(config_spec, seeds, precision="double", tol=1e-10):
+def _rel_scalar(a, b):
+    """_rel's rule for two floats, with FD_FLOOR as the floor."""
+    return abs(a - b) / max(abs(a), abs(b), FD_FLOOR)
+
+
+def roundtrip_suite(config_spec, seeds, precision="double"):
     """Invert every reversible block of the model on random data, worst case."""
     config = resolve_config(config_spec)
-    worst = 0.0
+    errors = []
     for seed in seeds:
         model = build(config, seed, precision)
         gen = rng_for(seed, "roundtrip-input")
@@ -78,10 +93,10 @@ def roundtrip_suite(config_spec, seeds, precision="double", tol=1e-10):
         for lvl in model.top.levels():
             a = lvl.raise_.forward(h, None)
             y = lvl.rev.forward(a, None)
-            worst = max(worst, float(np.abs(lvl.rev.inverse(y) - a).max()))
+            errors.append(float(np.abs(lvl.rev.inverse(y) - a).max()))
             h = lvl.pool.forward(y, None) if lvl.pool is not None else y
     name = config_spec if isinstance(config_spec, str) else "custom"
-    return _entry("roundtrip.%s" % name, worst, tol)
+    return _entry("roundtrip.%s" % name, errors, ROUNDTRIP_TOL[precision])
 
 
 def oracle_suite(seed):
@@ -157,7 +172,7 @@ def _fd_check(name, f, arrays, analytic, tol, gen, count):
     picked = [int(k) for k in gen.choice(starts[-1], size=min(count, starts[-1]), replace=False)]
     queue = list(picked)
     f0 = f()
-    worst, kinks = 0.0, 0
+    errors, kinks = [], 0
     while queue:
         k = queue.pop(0)
         i = int(np.searchsorted(starts, k, side="right")) - 1
@@ -168,21 +183,18 @@ def _fd_check(name, f, arrays, analytic, tol, gen, count):
         arr.flat[j] = orig - FD_STEP
         lo = f()
         arr.flat[j] = orig
-        err = float(reference.relative_error(analytic[i].flat[j],
-                                             (hi - lo) / (2.0 * FD_STEP), floor=FD_FLOOR))
-        one_sided = ((hi - f0) / FD_STEP, (f0 - lo) / FD_STEP)
-        if err > tol and reference.relative_error(*one_sided, floor=FD_FLOOR) > tol:
+        err = _rel_scalar(float(analytic[i].flat[j]), (hi - lo) / (2.0 * FD_STEP))
+        if err > tol and _rel_scalar((hi - f0) / FD_STEP, (f0 - lo) / FD_STEP) > tol:
             kinks += 1
             rest = np.setdiff1d(np.arange(starts[-1]), picked)
             if kinks <= KINK_SHARE * count and rest.size:
                 picked.append(int(gen.choice(rest)))
                 queue.append(picked[-1])
             continue
-        worst = max(worst, err)
-    entry = _entry(name, worst, tol)
+        errors.append(err)
+    entry = _entry(name, errors, tol, valid=kinks <= KINK_SHARE * count)
     entry["coords"] = len(picked) - kinks
     entry["kinks"] = kinks
-    entry["pass"] = entry["pass"] and kinks <= KINK_SHARE * count
     return entry
 
 
@@ -225,7 +237,7 @@ def fd_primitive_suite(seed):
     beta = gen.standard_normal(4)
     run("groupnorm", [xg, gamma, beta],
         lambda: ops.group_norm(xg, gamma, beta, group_size=2)[0],
-        lambda r: ops.group_norm_bwd(*ops.group_norm(xg, gamma, beta, 2)[1:], gamma, r, 2))
+        lambda r: ops.group_norm_bwd(*ops.group_norm(xg, gamma, beta, 2)[1:], gamma, r))
 
     # keep inputs away from the kink so central differences are valid
     xr = (gen.uniform(0.2, 1.0, (1, 2, 5, 5, 5))
@@ -236,12 +248,12 @@ def fd_primitive_suite(seed):
     xm = (0.1 * gen.permutation(np.arange(128, dtype=np.float64))).reshape(1, 2, 4, 4, 4)
     run("maxpool", [xm],
         lambda: ops.maxpool3d(xm, False)[0],
-        lambda r: ops.maxpool3d_bwd(ops.maxpool3d(xm, True)[1], xm.shape, r))
+        lambda r: ops.maxpool3d_bwd(ops.maxpool3d(xm, True)[1], r))
 
     xu = gen.standard_normal((1, 2, 4, 4, 4))
     run("upsample", [xu],
         lambda: ops.trilinear_upsample(xu),
-        lambda r: ops.trilinear_upsample_bwd(r, xu.shape))
+        lambda r: ops.trilinear_upsample_bwd(r))
 
     logits = gen.standard_normal((1, 3, 4, 4, 4))
     labels = gen.integers(0, 3, size=(1, 4, 4, 4))
@@ -346,11 +358,10 @@ def strategy_equivalence_suite(seed):
     logits_store, grads_store = run("store-all")
     logits_rev, grads_rev = run("reversible")
     forward_same = np.array_equal(logits_store, logits_rev)
-    worst = max(_rel(grads_store[name], grads_rev[name], floor=1e-12)
-                for name in grads_store)
+    errors = [_rel(grads_store[name], grads_rev[name], floor=1e-12) for name in grads_store]
     return [
         _entry("equiv.forward_bitwise", 0.0 if forward_same else 1.0, 0.0),
-        _entry("equiv.gradients", worst, EQUIV_TOL),
+        _entry("equiv.gradients", errors, EQUIV_TOL),
     ]
 
 
@@ -399,9 +410,10 @@ def gradcheck_report(config_spec, seed, corrupt=None):
         checks.append(fd_network_suite(seed, samples=NETWORK_SAMPLES))
         checks.extend(strategy_equivalence_suite(seed))
     # a check can fail on its kink count inside tolerance, so a failing
-    # report names the worst of its failing checks
+    # report names the worst of its failing checks; a NaN error is the worst
     failing = [c for c in checks if not c["pass"]]
-    worst = max(failing or checks, key=lambda c: c["max_err"] / max(c["tol"], 1e-30))
+    worst = max(failing or checks, key=lambda c: math.inf if math.isnan(c["max_err"])
+                else c["max_err"] / max(c["tol"], 1e-30))
     return {
         "schema_version": 1,
         "config": name,

@@ -38,9 +38,8 @@ def _line(n, text):
 def test_criterion_01_reversible_blocks_invert_exactly():
     worst = 0.0
     for name in TOY_PRESETS:
-        entry = verify.roundtrip_suite(name, seeds=range(50), precision="double",
-                                       tol=1e-10)
-        assert entry["pass"], entry
+        entry = verify.roundtrip_suite(name, seeds=range(50), precision="double")
+        assert entry["pass"] and entry["tol"] == 1e-10, entry
         worst = max(worst, entry["max_err"])
     _line(1, "inverse round-trip over %d toy presets x 50 seeds, worst "
              "|err|_inf %.3e <= 1e-10" % (len(TOY_PRESETS), worst))

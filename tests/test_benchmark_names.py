@@ -1,4 +1,5 @@
-"""The package names the benchmark harness in perfbench/ looks up still exist.
+"""The package names the benchmark harness in perfbench/ looks up still exist,
+and verify's fault-injection table matches the kernels the harness times.
 
 perfbench/tracing.py reads per-layer figures by the qualified names of the
 functions it wraps, and perfbench/workloads.py drives the program through
@@ -9,6 +10,8 @@ benchmark runs.
 import importlib.util
 import os
 import re
+
+from revunet import verify
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
@@ -32,11 +35,16 @@ def _exists(qualname):
     return True
 
 
-def test_names_the_benchmark_looks_up_exist():
+def _tracing():
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracing", os.path.join(PERFBENCH, "tracing.py"))
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_names_the_benchmark_looks_up_exist():
+    tracing = _tracing()
 
     # quoted qualified names, minus the metric keys the tracer writes (m["..."])
     traced = set(re.findall(r'(?<!m\[)"((?:%s)\.[A-Za-z_][\w.]*)"' % "|".join(tracing.LAYERS),
@@ -56,3 +64,10 @@ def test_names_the_benchmark_looks_up_exist():
         _source("workloads.py")))
     assert "training.Adam.step" in used and "cli.main" in used
     assert [q for q in sorted(used | set(INDIRECT)) if not _exists(q)] == []
+
+
+def test_fault_injection_covers_the_benchmark_kernels():
+    # the op table is kept twice: the kinds gradcheck can corrupt and the
+    # kernels the benchmark times must stay the same backward functions
+    kernels = _tracing().KERNELS
+    assert verify._CORRUPT_TARGETS == {kind: bwd for kind, (_, bwd) in kernels.items()}

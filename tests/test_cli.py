@@ -492,6 +492,47 @@ class TestTrainAndSegment:
         assert "outside the model directory" in err
         assert not os.path.exists(tmp_path / "o.rvt")
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda config, manifest: (config, dict(manifest, params={
+            e["name"]: e for e in manifest["params"]})),
+        lambda config, manifest: (config, dict(manifest, params=manifest["params"][1:]
+                                               + [manifest["params"][0]["name"]])),
+        lambda config, manifest: (config, dict(manifest, params=[
+            dict(manifest["params"][0], file=7)] + manifest["params"][1:])),
+        lambda config, manifest: (config, [manifest]),
+        lambda config, manifest: ([config], manifest),
+    ], ids=["params-object", "params-string", "integer-file", "manifest-list", "config-list"])
+    def test_malformed_model_documents_are_usage_errors(self, capsys, tmp_path, corrupt):
+        model_dir = tmp_path / "m"
+        build("mbconv-base-toy", seed=0, precision="single").save(model_dir)
+        docs = corrupt(*(json.loads((model_dir / name).read_text())
+                         for name in ("config.json", "manifest.json")))
+        for name, doc in zip(("config.json", "manifest.json"), docs):
+            (model_dir / name).write_text(json.dumps(doc))
+        vol = str(tmp_path / "v.rvt")
+        tensor_write(np.zeros((1, 4, 16, 16, 16), dtype=np.float32), vol)
+        code, out, err = run(capsys, ["segment", "--model", str(model_dir),
+                                      "--volume", vol, "--out", str(tmp_path / "o.rvt")])
+        assert code == 2 and out == "" and err.startswith("error: ")
+        assert not os.path.exists(tmp_path / "o.rvt")
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda index: index["items"],
+        lambda index: dict(index, items={str(i): item for i, item in enumerate(index["items"])}),
+        lambda index: dict(index, items=[index["items"][0]["volume"]] + index["items"][1:]),
+        lambda index: dict(index, items=[dict(index["items"][0], volume=3)]
+                           + index["items"][1:]),
+    ], ids=["index-list", "items-object", "items-string", "integer-volume"])
+    def test_malformed_corpus_index_is_usage_error(self, capsys, tmp_path, corrupt):
+        corpus_dir = tmp_path / "corpus"
+        index = write_corpus(str(corpus_dir), 2, 16, seed=3)
+        (corpus_dir / "index.json").write_text(json.dumps(corrupt(index)))
+        out = tmp_path / "run"
+        code, stdout, err = run(capsys, ["train", "--data", str(corpus_dir), "--out", str(out),
+                                         "--seed", "0", "--steps", "1"])
+        assert code == 2 and stdout == "" and err.startswith("error: ")
+        assert not out.exists()
+
 
 class TestEnsembleSelect:
     def _write_inputs(self, tmp_path, n_models=2):
@@ -569,7 +610,11 @@ class TestEnsembleSelect:
          "train_histograms": [[10, 0, 0, 0], [0, 0, 10]]},
         {"models": [{"name": "good", "train_dice": [0.9, 0.9]}],
          "train_histograms": [[10], [0]]},
-    ], ids=["no-histograms", "top-level-list", "ragged-histograms", "one-bin-histograms"])
+        {"models": [{"name": "good", "train_dice": [0.9, 0.9]}], "train_histograms": 2},
+        {"models": [{"name": "good", "train_dice": {"a": 0.9}}],
+         "train_histograms": [[10, 0, 0, 0]]},
+    ], ids=["no-histograms", "top-level-list", "ragged-histograms", "one-bin-histograms",
+            "integer-histograms", "object-train-dice"])
     def test_bad_stats_layout_is_usage_error(self, capsys, tmp_path, doc):
         _, vol_path = self._write_inputs(tmp_path)
         stats_path = tmp_path / "bad.json"

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from revunet import ops, verify
-from revunet.engine import MemoryLedger, Tape
+from revunet.engine import MemoryLedger, RevBlock, Tape
 from revunet.rng import rng_for
 from revunet.unet import build
 
@@ -170,3 +170,62 @@ def test_a_passing_report_names_the_largest_error_ratio():
     assert report["pass"]
     ratio = {c["check"]: c["max_err"] / max(c["tol"], 1e-30) for c in report["checks"]}
     assert report["worst"] == max(ratio, key=ratio.get)
+
+
+def test_entry_takes_the_worst_error_and_a_nan_fails():
+    assert verify._entry("c", [1e-9, 3e-9, 2e-9], 1e-8) == {
+        "check": "c", "max_err": 3e-9, "tol": 1e-8, "pass": True}
+    assert verify._entry("c", [], 0.0)["pass"] is True
+    for errors in ([1e-9, np.nan, 2e-9], [np.inf], np.nan):
+        entry = verify._entry("c", errors, 1e-8)
+        assert entry["pass"] is False and not entry["max_err"] <= 1e-8
+
+
+def _nan_relu_bwd(monkeypatch):
+    original = ops.relu_bwd
+
+    def relu_bwd(x, dy, out=None):
+        dx = original(x, dy, out=out)
+        dx[...] = np.nan
+        return dx
+
+    monkeypatch.setattr(ops, "relu_bwd", relu_bwd)
+
+
+def test_an_all_nan_relu_gradient_fails_its_check_and_the_network_check(monkeypatch):
+    _nan_relu_bwd(monkeypatch)
+    relu = {c["check"]: c for c in verify.fd_primitive_suite(0)}["fd.relu"]
+    network = verify.fd_network_suite(0, samples=20)
+    for check in (relu, network):
+        assert check["pass"] is False and np.isnan(check["max_err"]), check
+
+
+def test_a_failing_report_names_a_nan_check_over_a_finite_failure(monkeypatch):
+    # the corrupted conv3d VJP fails fd.conv3d by a finite error, far above
+    # its tolerance; the NaN relu gradient must still be named the worst
+    _nan_relu_bwd(monkeypatch)
+    report = verify.gradcheck_report("mbconv-base", 0, corrupt="conv3d")
+    checks = {c["check"]: c for c in report["checks"]}
+    assert checks["fd.conv3d"]["pass"] is False and np.isfinite(checks["fd.conv3d"]["max_err"])
+    assert report["pass"] is False and np.isnan(checks[report["worst"]]["max_err"])
+
+
+def test_a_nan_inverse_fails_the_round_trip(monkeypatch):
+    monkeypatch.setattr(RevBlock, "inverse", lambda self, y: np.full_like(y, np.nan))
+    check = verify.roundtrip_suite("mbconv-base-toy", seeds=[0])
+    assert check["pass"] is False and np.isnan(check["max_err"]), check
+
+
+def test_one_nan_depthwise_weight_gradient_fails_equivalence(monkeypatch):
+    original = ops.depthwise_conv3d_bwd
+
+    def depthwise_conv3d_bwd(x, w, dy):
+        dx, dw = original(x, w, dy)
+        dw.flat[0] = np.nan
+        return dx, dw
+
+    monkeypatch.setattr(ops, "depthwise_conv3d_bwd", depthwise_conv3d_bwd)
+    checks = {c["check"]: c for c in verify.strategy_equivalence_suite(0)}
+    assert checks["equiv.forward_bitwise"]["pass"] is True
+    assert checks["equiv.gradients"]["pass"] is False
+    assert np.isnan(checks["equiv.gradients"]["max_err"])

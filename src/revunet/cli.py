@@ -10,6 +10,7 @@ explicit --seed; nothing is seeded ambiently.
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -23,8 +24,20 @@ from .training import BASE_LR, TrainingError, class_labels, per_class_dice, trai
 from .unet import Model, crop_to_record, pad_to_grid, resolve_config
 
 
+def _finite(doc):
+    """``doc`` with every NaN or infinite float replaced by None, which JSON writes as null."""
+    if isinstance(doc, dict):
+        return {key: _finite(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_finite(value) for value in doc]
+    if isinstance(doc, float) and not math.isfinite(doc):
+        return None
+    return doc
+
+
 def _emit(doc, out=None):
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    # strict JSON: a check whose error is not finite says so by its pass: false
+    text = json.dumps(_finite(doc), indent=2, sort_keys=True, allow_nan=False)
     if out:
         with open(out, "w") as f:
             f.write(text + "\n")

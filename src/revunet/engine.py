@@ -206,7 +206,7 @@ class GroupNorm(Node):
     def forward(self, x, tape):
         if x.shape[1] != self.c:
             raise ShapeError("%s expects %d channels, got %d" % (self.name, self.c, x.shape[1]))
-        y, xhat, rstd = ops.group_norm(x, self.gamma, self.beta, self.group_size)
+        y, xhat, rstd = ops.group_norm(x, self.gamma, self.beta, self.group_size, tape is not None)
         if self.relu:
             ops.relu(y, out=y)
         if tape is not None:

@@ -7,21 +7,28 @@ All spatial ops take rank-5 (n, c, d, h, w) tensors, stride 1, and zero
 needs beyond the caller-held inputs; the engine decides which of those
 arrays count as retained activation storage.
 
-The k x k x k convolutions share one layout: the input is zero-padded once
-and flattened, with neighbouring rows and planes sharing their padding, so
-each tap's window over the whole (d, h + r, w + r) grid is one contiguous
-slice, and results are cropped from that grid. Forward and input gradient
-run one slab loop: the grid is cut into a list of slabs of whole planes,
-and each slab takes all k**3 taps in (dz, dy, dx) order before the next,
-so a slab's rows stay in cache instead of k**3 passes over the whole grid.
-A slab is as many planes as fit SLAB_BYTES at the kernel's channel counts
-and itemsize, but at least MIN_SLAB voxels; a grid that fits is one slab,
-which covers every grid of at most 16^3 for k = 3. The input gradient is
-the same correlation over padded dy with mirrored taps.
+The k x k x k convolutions share one layout: the input is zero-padded and
+flattened, with neighbouring rows and planes sharing their padding, so
+each tap's window over a (planes, h + r, w + r) grid is one contiguous
+slice. Forward and input gradient run one slab loop, _correlate: the
+grid is cut into a list of slabs of whole planes, and each slab takes
+all k**3 taps in (dz, dy, dx) order before the next, so a slab's rows
+stay in cache instead of k**3 passes over the whole grid. Each slab is
+padded on its own: one zeroed buffer, reused for every slab, is refilled
+with the slab's input planes and the r planes of halo on either side,
+and the slab's grid result is cropped straight into the (n, c, d, h, w)
+output. So forward and input gradient allocate their output and one
+slab's scratch, and never a padded copy of a whole input or a grid to
+crop. A slab is as many planes as fit SLAB_BYTES at the kernel's channel
+counts and itemsize, but at least MIN_SLAB voxels; a grid that fits is
+one slab, which covers every grid of at most 16^3 for k = 3. The input
+gradient is the same correlation over dy with mirrored taps.
 
 The standard conv makes one BLAS ?gemm call per tap, slab and sample,
-C = A B + beta C, straight into the output slab: beta = 0 for the first
+C = A B + beta C, straight into the slab's grid: beta = 0 for the first
 tap and 1 for every later one, so no tap needs a buffer or an add pass.
+Only the leading dimensions of B and C depend on how the slab is held,
+and they do not change the sums.
 The gemm is the one numpy's matmul calls, bound from the OpenBLAS numpy
 itself loaded (64-bit ints; importing this module raises ImportError when
 neither name resolves), so one BLAS and one thread pool serve both. It
@@ -49,12 +56,13 @@ matches such a loop only to rounding; models run k = 1 convolutions
 through pointwise_conv3d.
 
 Both weight gradients read one tap view: a read-only (n, c, k, k, k, L)
-strided view of padded x whose [dz, dy, dx] entry is that tap's window,
-refused before it is formed unless the last window ends inside the padded
-array. One batched np.matmul of the view against dy's centre window makes,
-per sample and tap, the call a matmul per tap makes, with the same
-strides: a (c_out, L) by (L, c_in) product for the standard conv, a 1 x L
-by L x 1 dot per channel for the depthwise one. So dw equals that per-tap
+strided view of x padded whole, whose [dz, dy, dx] entry is that tap's
+window over the whole grid, refused before it is formed unless the last
+window ends inside the padded array. One batched np.matmul of the view
+against dy's centre window, with dy padded whole too, makes, per sample
+and tap, the call a matmul per tap makes, with the same strides: a
+(c_out, L) by (L, c_in) product for the standard conv, a 1 x L by L x 1
+dot per channel for the depthwise one. So dw equals that per-tap
 loop bitwise. Its sums run over the whole padded grid, whose extra
 columns are zero, so it matches the offset-major loops only to rounding.
 Every accumulation order is fixed, so repeated runs are bitwise identical.
@@ -123,8 +131,14 @@ def _windows(a, k):
     L = d * plane
     af = np.zeros((n, c, L + 2 * r * (plane + wp + 1)), dtype=a.dtype)
     af[:, :, :(d + r) * plane].reshape(n, c, d + r, hp, wp)[:, :, r:, r:, r:] = a
-    offsets = [(dz * hp + dy) * wp + dx for dz in range(k) for dy in range(k) for dx in range(k)]
-    return af, offsets, L, plane
+    return af, _offsets(h, w, k), L, plane
+
+
+def _offsets(h, w, k):
+    """Tap offsets, in (dz, dy, dx) order, into the layout _windows gives h x w planes."""
+    r = k // 2
+    hp, wp = h + r, w + r
+    return [(dz * hp + dy) * wp + dx for dz in range(k) for dy in range(k) for dx in range(k)]
 
 
 def _slab(n, c_in, c_out, itemsize, plane):
@@ -180,76 +194,105 @@ _GEMM = _bind_gemm()
 _ROW_MAJOR, _NO_TRANS = ctypes.c_int(101), ctypes.c_int(111)
 
 
-def _correlate(af, offsets, L, plane, taps):
-    """Sum ``taps[i] @ window_i`` over the taps into an (n, c_out, L) grid.
+def _correlate(a, k, offsets, taps, product=None):
+    """Sum tap i's products with window i over ``a`` into its (n, c_out, d, h, w) output.
 
-    ``taps`` is (k**3, c_out, c_in). Each tap and slab is one ?gemm per
-    sample, C = A B + beta C straight into the output slab: beta is 0 for
-    tap 0 and 1 after it, B is the window with ldb the padded row length,
-    and C is the slab with ldc = L. Products numpy's matmul computes by
-    gemv, with one row or one column, go through np.matmul instead.
+    ``taps`` is (k**3, c_out, c_in). The grid is taken slab by slab, and
+    each slab of grid planes [z0, z1) is padded on its own: one zeroed
+    buffer, reused for every slab, takes a's planes z0 - r to z1 + r - 1,
+    halo included, in _windows' layout, so tap i's window of the slab's
+    cols grid voxels is the contiguous slice [offsets[i], offsets[i] +
+    cols) of it. The taps are summed into the first cols columns of one
+    slab-sized (n, c_out, S) grid, which is then cropped straight into the
+    output.
+
+    Without ``product``, each tap and slab is one ?gemm per sample, C =
+    A B + beta C straight into the grid: beta is 0 for tap 0 and 1 after
+    it, B is the window with ldb the padded slab's row length, and C is
+    the grid with ldc its row length. Products numpy's matmul computes by
+    gemv, with one row or one column, go through np.matmul instead. With
+    ``product``, or on that fallback, each tap's ``product(taps[i],
+    window_i)`` goes through one slab-sized buffer and is then added into
+    the grid, except tap 0's, which is written there.
     """
-    n, c_in, row = af.shape
+    n, c_in, d, h, w = a.shape
     c_out = taps.shape[1]
-    # every pointer formed below must stay inside af, taps or out
-    if not (af.dtype in _GEMM and taps.dtype == af.dtype and af.flags.c_contiguous
-            and taps.shape == (len(offsets), c_out, c_in) and max(offsets) + L <= row):
-        raise ValueError("tap windows do not fit the padded %s grid %r" % (af.dtype, af.shape))
-    item = af.itemsize
-    slabs = _slabs(n, c_in, c_out, item, plane, L)
-    if c_out == 1 or slabs[-1][1] - slabs[-1][0] == 1:
-        # a tap product with one row, or a slab of one column: numpy's matmul
-        # computes those as a matrix-vector product, as in the loop oracle
-        return _sum_products(np.matmul, af, offsets, L, plane, taps)
-    gemm, scalar = _GEMM[af.dtype]
-    # this frame holds the contiguous copy until every call below is done
-    taps = np.ascontiguousarray(taps)
-    out = np.empty((n, c_out, L), dtype=af.dtype)
-    a_ptr, b_ptr, c_ptr = (arr.ctypes.data for arr in (taps, af, out))
-    tap_bytes = c_out * c_in * item
-    m, k, lda, ldb, ldc = (ctypes.c_int64(v) for v in (c_out, c_in, c_in, row, L))
-    alpha, betas = scalar(1), (scalar(0), scalar(1))
-    # set in place before each call, which costs less than new ctypes objects
-    cols, a, b = ctypes.c_int64(), ctypes.c_void_p(), ctypes.c_void_p()
-    for s0, s1 in slabs:
-        cols.value = s1 - s0
-        # (start of sample j's rows in af, its output slab)
-        samples = [(b_ptr + j * c_in * row * item,
-                    ctypes.c_void_p(c_ptr + (j * c_out * L + s0) * item)) for j in range(n)]
-        for i, off in enumerate(offsets):
-            a.value, beta = a_ptr + i * tap_bytes, betas[i > 0]
-            for b0, c in samples:
-                b.value = b0 + (off + s0) * item
-                gemm(_ROW_MAJOR, _NO_TRANS, _NO_TRANS, m, cols, k,
-                     alpha, a, lda, b, ldb, beta, c, ldc)
-    return out
-
-
-def _sum_products(product, af, offsets, L, plane, taps):
-    """Sum ``product(taps[i], window_i)`` over the taps into an (n, c_out, L) grid.
-
-    Each tap's product goes through one slab-sized buffer and is then
-    added into the slab, except tap 0's, which is written there.
-    """
-    n, c_in = af.shape[:2]
-    c_out = taps.shape[1]
-    slabs = _slabs(n, c_in, c_out, af.itemsize, plane, L)
-    out = np.empty((n, c_out, L), dtype=af.dtype)
-    buf = np.empty((n, c_out, slabs[0][1]), dtype=af.dtype)
-    for s0, s1 in slabs:
-        acc, part = out[:, :, s0:s1], buf[:, :, :s1 - s0]
-        # out arrays passed by position: cheaper than the keyword per call
-        product(taps[0], af[:, :, offsets[0] + s0:offsets[0] + s1], acc)
-        for tap, off in zip(taps[1:], offsets[1:]):
-            np.add(acc, product(tap, af[:, :, off + s0:off + s1], part), acc)
-    return out
-
-
-def _crop(grid, shape, k):
-    """The contiguous (n, c, d, h, w) result held in an (n, c, L) grid array."""
-    d, h, w = shape
     r = k // 2
-    return np.ascontiguousarray(grid.reshape(grid.shape[:2] + (d, h + r, w + r))[:, :, :, :h, :w])
+    hp, wp = h + r, w + r
+    plane = hp * wp
+    slabs = _slabs(n, c_in, c_out, a.itemsize, plane, d * plane)
+    step = slabs[0][1]
+    pad = np.zeros((n, c_in, step + 2 * r * (plane + wp + 1)), dtype=a.dtype)
+    # every window formed from pad must end inside it
+    if not (len(taps) == len(offsets) and min(offsets) >= 0
+            and max(offsets) + step <= pad.shape[2]):
+        raise ValueError("tap windows do not fit the padded %s slab %r" % (pad.dtype, pad.shape))
+    grid = np.empty((n, c_out, step), dtype=a.dtype)
+    if product is None:
+        # ?gemm reads every tap as a (c_out, c_in) matrix of a's dtype
+        if not (a.dtype in _GEMM and taps.dtype == a.dtype
+                and taps.shape == (len(offsets), c_out, c_in)):
+            raise ValueError("%s taps %r do not fit %d tap windows of a %s input with %d channels"
+                             % (taps.dtype, taps.shape, len(offsets), a.dtype, c_in))
+        if c_out == 1 or slabs[-1][1] - slabs[-1][0] == 1:
+            # a tap product with one row, or a slab of one column: numpy's
+            # matmul computes those as a matrix-vector product, as in the
+            # loop oracle
+            product = np.matmul
+    if product is None:
+        gemm, scalar = _GEMM[a.dtype]
+        # this frame holds the contiguous copy until every call below is done
+        taps = np.ascontiguousarray(taps)
+        item = a.itemsize
+        a_ptr, tap_bytes = taps.ctypes.data, c_out * c_in * item
+        m, depth, lda, ldb, ldc = (ctypes.c_int64(v) for v in (c_out, c_in, c_in, pad.shape[2], step))
+        alpha, betas = scalar(1), (scalar(0), scalar(1))
+        # set in place before each call, which costs less than new ctypes objects
+        cols, a_arg, b = ctypes.c_int64(), ctypes.c_void_p(), ctypes.c_void_p()
+        # (start of sample j's rows in pad, its rows in the grid); a loop, as
+        # a comprehension would make cells of the locals it reads on every call
+        samples = []
+        for j in range(n):
+            samples.append((pad.ctypes.data + j * c_in * ldb.value * item,
+                            ctypes.c_void_p(grid.ctypes.data + j * c_out * step * item)))
+        part = None
+    else:
+        part = np.empty_like(grid)
+    out = None
+    for s0, s1 in slabs:
+        z0, z1 = s0 // plane, s1 // plane
+        lo, hi = max(z0 - r, 0), min(z1 + r, d)
+        # plane j of the padded slab holds a's plane z0 - r + j
+        planes = pad[:, :, :step + 2 * r * plane].reshape(n, c_in, -1, hp, wp)[:, :, :, r:, r:]
+        planes[:, :, lo - z0 + r:hi - z0 + r] = a[:, :, lo:hi]
+        if s0:
+            # planes past a's last one still hold the previous slab's; the
+            # leading ones, before a's first plane, were never written
+            planes[:, :, hi - z0 + r:] = 0
+        del planes
+        if product is None:
+            cols.value = s1 - s0
+            for i, off in enumerate(offsets):
+                a_arg.value, beta = a_ptr + i * tap_bytes, betas[i > 0]
+                for b0, c in samples:
+                    b.value = b0 + off * item
+                    gemm(_ROW_MAJOR, _NO_TRANS, _NO_TRANS, m, cols, depth,
+                         alpha, a_arg, lda, b, ldb, beta, c, ldc)
+        else:
+            acc, sub = grid[:, :, :s1 - s0], part[:, :, :s1 - s0]
+            # out arrays passed by position: cheaper than the keyword per call
+            product(taps[0], pad[:, :, offsets[0]:offsets[0] + s1 - s0], acc)
+            for tap, off in zip(taps[1:], offsets[1:]):
+                np.add(acc, product(tap, pad[:, :, off:off + s1 - s0], sub), acc)
+        if out is None:
+            if len(slabs) == 1:
+                # a grid of one slab frees its padded input and product buffer
+                # before the output is allocated, so it holds no more than the
+                # whole padded grid did
+                pad = part = None
+            out = np.empty((n, c_out, d, h, w), dtype=a.dtype)
+        out[:, :, z0:z1] = grid[:, :, :s1 - s0].reshape(n, c_out, z1 - z0, hp, wp)[:, :, :, :h, :w]
+    return out
 
 
 def _check_dtypes(*arrays):
@@ -269,30 +312,29 @@ def conv3d(x, w, b=None):
     if ci_k != ci:
         raise ShapeError("conv3d channel mismatch: input %d, kernel %d" % (ci, ci_k))
     # taps[i] is tap i's (co, ci) weight matrix
-    out = _correlate(*_windows(x, k), w.reshape(co, ci, -1).transpose(2, 0, 1))
+    out = _correlate(x, k, _offsets(*x.shape[3:], k), w.reshape(co, ci, -1).transpose(2, 0, 1))
     if b is not None:
-        out += b.reshape(1, co, 1)
-    return _crop(out, x.shape[2:], k)
+        out += b.reshape(1, co, 1, 1, 1)
+    return out
 
 
 def conv3d_bwd(x, w, dy, has_bias):
     _check_dtypes(x, w, dy)
     co, ci, k = w.shape[:3]
-    dyf, offsets, L, plane = _windows(dy, k)
+    dyf, offsets, L, _ = _windows(dy, k)
     # the centre window is dy on the grid, zero in the columns the crop drops
     centre = offsets[len(offsets) // 2]
     dyg = dyf[:, :, centre:centre + L]
     wins = _tap_windows(x, k)
     # one (co, L) by (L, ci) product per sample and tap, as a matmul per tap makes
     dw = np.matmul(dyg[:, None, None, None], wins.transpose(0, 2, 3, 4, 5, 1)).sum(axis=0)
-    # each padded grid is freed as soon as it is done with, before the next
-    # full-grid array is allocated: this bounds the backward's peak memory
-    del wins
-    # the adjoint is the same correlation over padded dy, with mirrored taps
-    dx = _correlate(dyf, offsets[::-1], L, plane, w.reshape(co, ci, -1).transpose(2, 1, 0))
-    del dyf, dyg
+    # both padded grids are freed before the input gradient is allocated:
+    # this bounds the backward's peak memory
+    del wins, dyf, dyg
+    # the adjoint is the same correlation over dy, with mirrored taps
+    dx = _correlate(dy, k, offsets[::-1], w.reshape(co, ci, -1).transpose(2, 1, 0))
     db = dy.sum(axis=(0, 2, 3, 4)) if has_bias else None
-    return _crop(dx, x.shape[2:], k), np.ascontiguousarray(dw.transpose(3, 4, 0, 1, 2)), db
+    return dx, np.ascontiguousarray(dw.transpose(3, 4, 0, 1, 2)), db
 
 
 def pointwise_conv3d(x, w, b=None):
@@ -326,23 +368,21 @@ def depthwise_conv3d(x, w):
         raise ShapeError("depthwise kernel mismatch: input %d channels, kernel %r"
                          % (c, w.shape[:2]))
     taps = w.reshape(c, -1, 1).transpose(1, 0, 2)
-    out = _sum_products(np.multiply, *_windows(x, k), taps)
-    return _crop(out, x.shape[2:], k)
+    return _correlate(x, k, _offsets(*x.shape[3:], k), taps, np.multiply)
 
 
 def depthwise_conv3d_bwd(x, w, dy):
     c, k = x.shape[1], w.shape[2]
     taps = w.reshape(c, -1, 1).transpose(1, 0, 2)
-    dyf, offsets, L, plane = _windows(dy, k)
+    dyf, offsets, L, _ = _windows(dy, k)
     centre = offsets[len(offsets) // 2]
     dyg = dyf[:, :, None, None, None, centre:centre + L, None]
     # one 1 x L by L x 1 dot per sample, channel and tap, as a matmul per tap makes
     wins = _tap_windows(x, k)
     dw = np.matmul(wins[..., None, :], dyg)[..., 0, 0].sum(axis=0)
-    del wins
-    dx = _sum_products(np.multiply, dyf, offsets[::-1], L, plane, taps)
-    del dyf, dyg
-    return _crop(dx, x.shape[2:], k), dw.reshape(w.shape)
+    del wins, dyf, dyg
+    dx = _correlate(dy, k, offsets[::-1], taps, np.multiply)
+    return dx, dw.reshape(w.shape)
 
 
 def _mean(a, axes):
@@ -354,11 +394,17 @@ def _mean(a, axes):
     return np.true_divide(s, np.intp(count), out=s, casting="unsafe")
 
 
-def group_norm(x, gamma, beta, group_size):
+def group_norm(x, gamma, beta, group_size, need_xhat):
     """Normalize each (sample, channel group) over group channels and space.
 
     Returns (out, xhat, rstd); the backward pass needs only xhat and rstd
-    beyond the affine parameters, which share x's dtype.
+    beyond the affine parameters, which share x's dtype. One buffer takes
+    x - mean, its square for the variance, x - mean again and the scaling
+    by rstd, which makes it xhat. With ``need_xhat`` the output is a second
+    array and xhat is returned; without it, xhat is None and the buffer
+    is scaled by gamma and shifted by beta in place, so the call allocates
+    only its output. Both apply the same ufuncs to the same operands, so
+    ``out`` has the same bits either way.
     """
     n, c = x.shape[:2]
     if c % group_size != 0:
@@ -366,14 +412,16 @@ def group_norm(x, gamma, beta, group_size):
     g = c // group_size
     axes = (2, 3, 4, 5)
     xg = x.reshape((n, g, group_size) + x.shape[2:])
-    # the passes np.var makes, with the centred input kept for xhat
-    d = xg - _mean(xg, axes)
-    sq = d * d
-    rstd = 1.0 / np.sqrt(_mean(sq, axes) + x.dtype.type(GN_EPS))
-    xhat = np.multiply(d, rstd, out=d).reshape(x.shape)
-    out = np.multiply(gamma.reshape(1, c, 1, 1, 1), xhat, out=sq.reshape(x.shape))
+    mean = _mean(xg, axes)
+    # the passes np.var makes, in one buffer, which then takes x - mean
+    # again and is scaled into xhat
+    buf = np.subtract(xg, mean)
+    rstd = 1.0 / np.sqrt(_mean(np.multiply(buf, buf, buf), axes) + x.dtype.type(GN_EPS))
+    xhat = np.multiply(np.subtract(xg, mean, buf), rstd, buf).reshape(x.shape)
+    del mean   # freed before the output is allocated
+    out = np.multiply(gamma.reshape(1, c, 1, 1, 1), xhat, None if need_xhat else xhat)
     out += beta.reshape(1, c, 1, 1, 1)
-    return out, xhat, rstd
+    return out, xhat if need_xhat else None, rstd
 
 
 def group_norm_bwd(xhat, rstd, gamma, dy, overwrite_dy=False):

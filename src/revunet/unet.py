@@ -17,9 +17,12 @@ agree to rounding, not bit for bit
 (tests/test_unet.py::TestTapelessForward::test_tapeless_and_taped_logits_agree_to_rounding).
 Every forward hands its input over: no frame holds it after enc0.raise
 has read it, nor a pooled input after the next level's raise, so without
-a tape both are freed there unless the caller keeps a reference. On the
-`segment-conv` config the tape-less forward peaks at 3.50 level-0
-activations, in enc0.rev's group norms.
+a tape both are freed there unless the caller keeps a reference. Each op
+of it allocates only its output and at most one conv slab's scratch (see
+ops). On the `segment-conv` config the tape-less forward peaks at 3.00
+level-0 activations, in enc0.rev's group norms; at the mbconv-base
+widths on a 64x64x48 volume it peaks at 4.18, in enc0.rev's depthwise
+convs.
 
 A model serializes to a directory: config.json, manifest.json, and one
 RVT1 file per parameter (natural shapes padded to rank 5 with trailing
@@ -353,6 +356,10 @@ class Model:
             raise ValueError("manifest.json must hold a JSON object whose params are "
                              "objects with a name and a file string")
         by_name = {entry["name"]: entry for entry in params}
+        if len(by_name) != len(params):
+            names = [entry["name"] for entry in params]
+            raise ValueError("manifest lists parameters more than once: %s"
+                             % sorted({name for name in names if names.count(name) > 1}))
         for name, leaf, attr, arr in model.parameters():
             entry = by_name.pop(name, None)
             if entry is None:

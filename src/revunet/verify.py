@@ -132,7 +132,7 @@ def oracle_suite(seed):
     xg = gen.standard_normal((1, 4, 3, 3, 3))
     gamma = gen.standard_normal(4)
     beta = gen.standard_normal(4)
-    out, xhat, _ = ops.group_norm(xg, gamma, beta, group_size=2)
+    out, xhat, _ = ops.group_norm(xg, gamma, beta, 2, True)
     means, variances = reference.group_norm_stats(xhat, group_size=2)
     checks.append(_entry("oracle.groupnorm_mean", np.abs(means).max(), 1e-6))
     checks.append(_entry("oracle.groupnorm_var", np.abs(variances - 1.0).max(), 1e-4))
@@ -236,8 +236,8 @@ def fd_primitive_suite(seed):
     gamma = gen.standard_normal(4) + 1.5
     beta = gen.standard_normal(4)
     run("groupnorm", [xg, gamma, beta],
-        lambda: ops.group_norm(xg, gamma, beta, group_size=2)[0],
-        lambda r: ops.group_norm_bwd(*ops.group_norm(xg, gamma, beta, 2)[1:], gamma, r))
+        lambda: ops.group_norm(xg, gamma, beta, 2, False)[0],
+        lambda r: ops.group_norm_bwd(*ops.group_norm(xg, gamma, beta, 2, True)[1:], gamma, r))
 
     # keep inputs away from the kink so central differences are valid
     xr = (gen.uniform(0.2, 1.0, (1, 2, 5, 5, 5))

@@ -108,8 +108,8 @@ class TestGroupNormShiftInvariance:
         gamma, beta = gen.standard_normal(20), gen.standard_normal(20)
         gs = group_size_for(20)
         shift = np.repeat(gen.standard_normal(20 // gs), gs).reshape(1, 20, 1, 1, 1)
-        base, _, _ = group_norm(x, gamma, beta, gs)
-        moved, _, _ = group_norm(x + shift, gamma, beta, gs)
+        base, _, _ = group_norm(x, gamma, beta, gs, False)
+        moved, _, _ = group_norm(x + shift, gamma, beta, gs, False)
         assert np.abs(base - moved).max() <= 1e-12
 
     def test_block_tail_invariant_after_expansion(self):

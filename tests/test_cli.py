@@ -70,6 +70,9 @@ class TestGradcheck:
         assert report["checks"] and all(c["pass"] for c in report["checks"])
         assert "PASS" in err and "FAIL" not in err
         assert json.load(open(out_file)) == report
+        # a finite report is written as json.dumps writes it
+        with open(out_file) as f:
+            assert f.read() == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
     def test_corrupted_vjp_fails_with_code_1(self, capsys):
         code, report, err = run_json(
@@ -79,6 +82,20 @@ class TestGradcheck:
         assert report["pass"] is False
         assert any(not c["pass"] for c in report["checks"])
         assert "FAIL" in err
+
+    def test_a_nan_error_is_written_as_null(self, capsys, monkeypatch):
+        def nan_relu_bwd(x, dy, out=None):
+            return np.full(np.broadcast(x, dy).shape, np.nan)
+
+        def refuse(token):
+            raise ValueError("not JSON: %s" % token)
+
+        monkeypatch.setattr(cli.verify.ops, "relu_bwd", nan_relu_bwd)
+        code, out, _ = run(capsys, ["gradcheck", "--config", "mbconv-base", "--seed", "0"])
+        report = json.loads(out, parse_constant=refuse)
+        assert code == 1 and report["pass"] is False
+        failed = [c for c in report["checks"] if not c["pass"]]
+        assert failed and any(c["max_err"] is None for c in failed)
 
     def test_worst_offender_is_a_failing_check(self, capsys):
         # seed -1 fails only fd.network, on its kink count
@@ -335,10 +352,11 @@ class TestTrainAndSegment:
     def test_segment_frees_the_volume_after_the_first_conv(self, capsys, tmp_path):
         # segment-conv's benchmark config; one level-0 activation is 8 x 64^3
         # float32. The padded volume (0.5) is freed once enc0.raise has read
-        # it, so the whole command peaks at the forward's 3.50 plus what
-        # loading the model and reading the volume leave live (3.62 measured,
-        # numpy 2.4, Python 3.11); holding the volume through the forward
-        # and upsampling before the reduce read 4.87
+        # it, so the whole command peaks at the forward's 3.00 plus what
+        # loading the model and reading the volume leave live (3.12 measured,
+        # numpy 2.4, Python 3.11); three-buffer group norms read 3.62, and
+        # holding the volume through the forward and upsampling before the
+        # reduce 4.87
         config = UNetConfig(widths=(8, 16, 32, 64), image_size=(64, 64, 64),
                             block_kind="standard")
         activation = 8 * 64 ** 3 * 4
@@ -362,7 +380,7 @@ class TestTrainAndSegment:
                 tracemalloc.stop()
         capsys.readouterr()
         assert code == 0
-        assert peak <= 3.75 * activation, peak / activation
+        assert peak <= 3.35 * activation, peak / activation
 
     def test_both_steps_and_epochs(self, capsys, tmp_path):
         code, _, err = run(
@@ -501,7 +519,10 @@ class TestTrainAndSegment:
             dict(manifest["params"][0], file=7)] + manifest["params"][1:])),
         lambda config, manifest: (config, [manifest]),
         lambda config, manifest: ([config], manifest),
-    ], ids=["params-object", "params-string", "integer-file", "manifest-list", "config-list"])
+        lambda config, manifest: (config, dict(manifest, params=manifest["params"]
+                                               + manifest["params"][:1])),
+    ], ids=["params-object", "params-string", "integer-file", "manifest-list", "config-list",
+            "params-repeated"])
     def test_malformed_model_documents_are_usage_errors(self, capsys, tmp_path, corrupt):
         model_dir = tmp_path / "m"
         build("mbconv-base-toy", seed=0, precision="single").save(model_dir)

@@ -17,7 +17,7 @@ def _load():
 
 def test_digest_covers_every_entry():
     out = _load().digest()
-    assert len(out) == 45
+    assert len(out) == 47
     assert "segment/segment-conv" in out
     assert sorted(k for k in out if k.startswith("rev/")) == [
         "rev/mbconv/reversible", "rev/mbconv/store-all",
@@ -27,6 +27,7 @@ def test_digest_covers_every_entry():
     assert sorted(k for k in out if k.startswith("fd-network/")) == ["fd-network/105",
                                                                      "fd-network/88"]
     assert sorted(k for k in out if k.startswith("kernel/")) == [
+        "kernel/conv3d-1ch/double", "kernel/conv3d-1ch/single",
         "kernel/conv3d/double", "kernel/conv3d/single",
         "kernel/depthwise/double", "kernel/depthwise/single"]
     assert sorted(k for k in out if k.startswith("budget/")) == sorted(
@@ -37,11 +38,12 @@ def test_digest_covers_every_entry():
 
 def test_kernel_entries_take_several_slabs():
     # forward and input gradient each walk the grid with one channel count
-    # on either side; every walk must cross slab edges and end in a short slab
+    # on either side; every walk must cross slab edges and end in a short
+    # slab, except the one-channel entry's, which fits one slab
     digest = _load()
     n, d, h, w = digest.KERNEL_GRID
     plane = (h + 1) * (w + 1)
-    for c_in, c_out in digest.KERNEL_CHANNELS.values():
+    for c_in, c_out in (digest.KERNEL_CHANNELS[kind] for kind in ("conv3d", "depthwise")):
         for itemsize in (4, 8):
             for a, b in ((c_in, c_out), (c_out, c_in)):
                 slabs = ops._slabs(n, a, b, itemsize, plane, d * plane)

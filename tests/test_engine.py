@@ -404,13 +404,13 @@ class TestGroupNormReLU:
         beta = gen.standard_normal(c).astype(dtype)
         # xhat does not depend on beta: choose beta on half the channels so
         # that one pre-activation there is exactly 0, and give it a negative dy
-        xhat = ops.group_norm(x, gamma, beta, gs)[1]
+        xhat = ops.group_norm(x, gamma, beta, gs, True)[1]
         zeros = (0, slice(0, c, 2), 1, 2, 3)
         beta[zeros[1]] = -(gamma[zeros[1]] * xhat[zeros])
         dy = gen.standard_normal(x.shape).astype(dtype)
         dy[zeros] = -np.abs(dy[zeros])
 
-        out, xhat, rstd = ops.group_norm(x, gamma, beta, gs)
+        out, xhat, rstd = ops.group_norm(x, gamma, beta, gs, True)
         y = ops.relu(out)
         dpre = ops.relu_bwd(out, dy)
         dx, dgamma, dbeta = ops.group_norm_bwd(xhat, rstd, gamma, dpre)

@@ -1,5 +1,8 @@
 """Primitive forward ops and their VJPs against naive oracles and hand values."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -348,16 +351,17 @@ class TestConvBoundary:
 
     def test_a_window_past_the_padded_grid_is_refused(self):
         x, w, _ = self._data()
-        af, offsets, L, plane = ops._windows(x, 3)
+        offsets = ops._offsets(5, 6, 3)
         taps = w.reshape(2, 3, -1).transpose(2, 0, 1)
-        assert _same_bits(ops._correlate(af, offsets, L, plane, taps),
-                          ops._correlate(af.copy(), offsets, L, plane, taps))
+        assert _same_bits(ops._correlate(x, 3, offsets, taps), _loops_conv3d(x, w))
+        # the last tap's window ends exactly at the end of the padded slab
+        for bad in ([offsets[-1] + 1], [-1]):
+            with pytest.raises(ValueError, match="tap windows"):
+                ops._correlate(x, 3, offsets[:-1] + bad, taps)
+        with pytest.raises(ValueError, match="tap windows"):
+            ops._correlate(x, 3, offsets, taps[:-1])
         with pytest.raises(ValueError):
-            ops._correlate(af, offsets[:-1] + [af.shape[2] - L + 1], L, plane, taps)
-        with pytest.raises(ValueError):
-            ops._correlate(af[:, :, :-1], offsets, L, plane, taps)
-        with pytest.raises(ValueError):
-            ops._correlate(af, offsets, L, plane, taps[:-1])
+            ops._correlate(x, 3, offsets, taps.astype(np.float64))
 
     def test_missing_blas_names_numpys_blas(self, monkeypatch):
         class NoSymbols:
@@ -387,6 +391,97 @@ def test_one_output_channel_within_8_eps_of_the_loops(dtype, ci, co):
     assert verify._rel(ops.conv3d(x, w), _loops_conv3d(x, w)) <= 8 * eps
     dx = ops.conv3d_bwd(x, w, dy, False)[0]
     assert verify._rel(dx, _loops_conv3d_bwd(x, w, dy)[0]) <= 8 * eps
+
+
+# what one call may allocate beyond the arrays it is bounded by: numpy's
+# ufunc and iterator buffers and the call's Python objects
+CALL_SLACK = 64 * 1024
+
+
+def _traced_peak(fn):
+    """(bytes the call allocated at its peak, its result), by tracemalloc."""
+    gc.collect()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn()
+        return tracemalloc.get_traced_memory()[1] - base, result
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def _slab_scratch(n, c_in, c_out, itemsize, grid, k=3):
+    """Bytes of a tap loop's scratch: one padded input slab with its halo,
+    the slab's result grid and one product buffer of the same size, and the
+    taps' contiguous copy."""
+    d, h, w = grid
+    r = k // 2
+    plane = (h + r) * (w + r)
+    step = ops._slabs(n, c_in, c_out, itemsize, plane, d * plane)[0][1]
+    halo = 2 * r * (plane + w + r + 1)
+    return itemsize * (n * c_in * (step + halo) + 2 * n * c_out * step + k ** 3 * c_in * c_out)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(1, 8, 40, 40, 40), (2, 4, 24, 40, 36)])
+class TestOneCallMemory:
+    """Each kernel allocates its output and one slab's scratch: no padded
+    copy of a whole input next to its output, and no grid to crop from.
+    These grids take several slabs, so the scratch is about 1 MB."""
+
+    def _data(self, dtype, shape, co, depthwise=False):
+        gen = _gen("memory", str(dtype), str(shape))
+        x = gen.standard_normal(shape).astype(dtype)
+        w = gen.standard_normal((co, 1 if depthwise else shape[1], 3, 3, 3)).astype(dtype)
+        dy = gen.standard_normal((shape[0], co) + shape[2:]).astype(dtype)
+        return x, w, dy
+
+    @pytest.mark.parametrize("co", [2, 8])
+    def test_conv3d(self, dtype, shape, co):
+        x, w, _ = self._data(dtype, shape, co)
+        n, ci = shape[:2]
+        scratch = _slab_scratch(n, ci, co, x.itemsize, shape[2:])
+        peak, out = _traced_peak(lambda: ops.conv3d(x, w))
+        assert peak <= out.nbytes + scratch + CALL_SLACK, (peak, out.nbytes, scratch)
+
+    def test_depthwise_conv3d(self, dtype, shape):
+        x, w, _ = self._data(dtype, shape, shape[1], depthwise=True)
+        n, c = shape[:2]
+        peak, out = _traced_peak(lambda: ops.depthwise_conv3d(x, w))
+        assert peak <= out.nbytes + _slab_scratch(n, c, c, x.itemsize, shape[2:]) + CALL_SLACK
+
+    def _assert_backward_phases(self, peak, x, w, dy, dx):
+        # the weight gradient holds padded x and padded dy, and its per-sample
+        # products next to their sum; both grids are freed before the input
+        # gradient, which holds dx, one slab's scratch, dw and its copy
+        padded = ops._windows(x, 3)[0].nbytes + ops._windows(dy, 3)[0].nbytes
+        dw_phase = padded + (x.shape[0] + 1) * w.nbytes
+        dx_phase = dx.nbytes + _slab_scratch(x.shape[0], dy.shape[1], x.shape[1], x.itemsize,
+                                             x.shape[2:]) + 2 * w.nbytes
+        assert peak <= max(dw_phase, dx_phase) + CALL_SLACK, (peak, dw_phase, dx_phase)
+
+    @pytest.mark.parametrize("co", [2, 8])
+    def test_conv3d_input_gradient(self, dtype, shape, co):
+        x, w, dy = self._data(dtype, shape, co)
+        peak, (dx, _, _) = _traced_peak(lambda: ops.conv3d_bwd(x, w, dy, False))
+        self._assert_backward_phases(peak, x, w, dy, dx)
+
+    def test_depthwise_conv3d_input_gradient(self, dtype, shape):
+        x, w, _ = self._data(dtype, shape, shape[1], depthwise=True)
+        dy = _gen("memory-dy", str(dtype)).standard_normal(shape).astype(dtype)
+        peak, (dx, _) = _traced_peak(lambda: ops.depthwise_conv3d_bwd(x, w, dy))
+        self._assert_backward_phases(peak, x, w, dy, dx)
+
+    def test_group_norm_without_xhat(self, dtype, shape):
+        x, _, _ = self._data(dtype, shape, shape[1])
+        c = shape[1]
+        gamma, beta = np.ones(c, dtype=dtype), np.zeros(c, dtype=dtype)
+        peak, (out, _, _) = _traced_peak(lambda: ops.group_norm(x, gamma, beta, c // 2, False))
+        assert peak <= out.nbytes + CALL_SLACK, (peak, out.nbytes)
 
 
 class TestPointwise:
@@ -581,9 +676,12 @@ class TestGroupNorm:
         gamma = gen.standard_normal(shape[1]).astype(dtype)
         beta = gen.standard_normal(shape[1]).astype(dtype)
         dy = gen.standard_normal(shape).astype(dtype)
-        fast, ref = ops.group_norm(x, gamma, beta, group_size), _np_var_group_norm(
+        fast, ref = ops.group_norm(x, gamma, beta, group_size, True), _np_var_group_norm(
             x, gamma, beta, group_size)
         assert all(_same_bits(a, b) for a, b in zip(fast, ref))
+        # without xhat the buffer that would be xhat becomes the output: same bits
+        out, no_xhat, rstd = ops.group_norm(x, gamma, beta, group_size, False)
+        assert no_xhat is None and _same_bits(out, ref[0]) and _same_bits(rstd, ref[2])
         back = ops.group_norm_bwd(fast[1], fast[2], gamma, dy)
         ref_back = _np_var_group_norm_bwd(ref[1], ref[2], gamma, dy, group_size)
         assert all(_same_bits(a, b) for a, b in zip(back, ref_back))
@@ -598,17 +696,17 @@ class TestGroupNorm:
 
     def test_constant_input_zero_output(self):
         x = np.full((1, 4, 2, 2, 2), 3.7)
-        out, _, _ = ops.group_norm(x, np.ones(4), np.zeros(4), group_size=2)
+        out, _, _ = ops.group_norm(x, np.ones(4), np.zeros(4), 2, False)
         assert np.array_equal(out, np.zeros_like(out))
 
     def test_gamma_zero_beta_seven(self):
         x = _gen("gn7").standard_normal((1, 4, 2, 2, 2))
-        out, _, _ = ops.group_norm(x, np.zeros(4), np.full(4, 7.0), group_size=2)
+        out, _, _ = ops.group_norm(x, np.zeros(4), np.full(4, 7.0), 2, False)
         assert np.array_equal(out, np.full_like(out, 7.0))
 
     def test_statistics_pre_affine(self):
         x = _gen("gns").standard_normal((1, 4, 2, 2, 2))
-        _, xhat, _ = ops.group_norm(x, np.ones(4), np.zeros(4), group_size=2)
+        _, xhat, _ = ops.group_norm(x, np.ones(4), np.zeros(4), 2, True)
         means, variances = reference.group_norm_stats(xhat, group_size=2)
         assert np.abs(means).max() <= 1e-6
         assert np.abs(variances - 1.0).max() <= 1e-4
@@ -616,7 +714,7 @@ class TestGroupNorm:
     def test_errors(self):
         x = np.zeros((1, 4, 2, 2, 2))
         with pytest.raises(ShapeError):
-            ops.group_norm(x, np.ones(4), np.zeros(4), group_size=3)
+            ops.group_norm(x, np.ones(4), np.zeros(4), 3, False)
 
     def test_group_size_rule(self):
         assert ops.group_size_for(30) == 10

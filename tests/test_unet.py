@@ -1,5 +1,6 @@
 """Architecture assembly: configs, presets, forward/backward, padding, save/load."""
 
+import dataclasses
 import gc
 import json
 import tracemalloc
@@ -208,17 +209,25 @@ class TestInferenceMemory:
     # segment-conv's benchmark config; one level-0 activation is 8 x 64^3 float32
     SEGMENT = UNetConfig(widths=(8, 16, 32, 64), image_size=(64, 64, 64), block_kind="standard")
     ACTIVATION = 8 * 64 ** 3 * 4
-    # measured 3.50 activations (numpy 2.4, Python 3.11), in the group norms
+    # measured 3.00 activations (numpy 2.4, Python 3.11), in the group norms
     # of enc0.rev's F and G: the rev block's input (1) and output (1), and
-    # the conv output, its centred copy and their square (0.5 each). The
-    # decoder, which reduces before it upsamples, peaks at 3.10 in dec0. The
-    # bound keeps 0.25 of headroom. Upsampling 16 channels before the reduce
-    # read 4.25, in dec0.up.
-    PEAK_ACTIVATIONS = 3.75
+    # the conv output and the group norm's one buffer (0.5 each). dec0.up
+    # reads 2.63 and enc0.rev's convs 2.60: each kernel holds its output and
+    # one slab's scratch. The bound keeps 0.25 of headroom. A group norm
+    # that kept its centred input next to their square read 3.50, and convs
+    # that padded the whole input and cropped a grid 3.05.
+    PEAK_ACTIVATIONS = 3.25
+    # the mbconv-base preset's widths at a desk volume; one level-0
+    # activation is 30 x 64 x 64 x 48 float32
+    MBCONV = dataclasses.replace(PRESETS["mbconv-base"], image_size=(64, 64, 48))
+    # measured 4.18 activations, in enc0.rev's depthwise convs, and 4.00 in
+    # its group norms; whole-input padding and three-buffer group norms read
+    # 5.16 and 5.00 there
+    MBCONV_PEAK_ACTIVATIONS = 4.5
 
-    def test_tapeless_forward_peak(self):
-        model = build(self.SEGMENT, seed=0, precision="single")
-        x = rng_for(0, "x").standard_normal((1, 4) + self.SEGMENT.image_size).astype(np.float32)
+    def _peak(self, config):
+        model = build(config, seed=0, precision="single")
+        x = rng_for(0, "x").standard_normal((1, 4) + config.image_size).astype(np.float32)
         gc.collect()
         started = not tracemalloc.is_tracing()
         if started:
@@ -227,11 +236,19 @@ class TestInferenceMemory:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             model.forward(x, None)
-            peak = tracemalloc.get_traced_memory()[1] - base
+            return tracemalloc.get_traced_memory()[1] - base
         finally:
             if started:
                 tracemalloc.stop()
+
+    def test_tapeless_forward_peak(self):
+        peak = self._peak(self.SEGMENT)
         assert peak <= self.PEAK_ACTIVATIONS * self.ACTIVATION, peak / self.ACTIVATION
+
+    def test_mbconv_tapeless_forward_peak(self):
+        activation = 30 * 64 * 64 * 48 * 4
+        peak = self._peak(self.MBCONV)
+        assert peak <= self.MBCONV_PEAK_ACTIVATIONS * activation, peak / activation
 
 
 def _wrap(node, before=None, after=None):
@@ -388,4 +405,15 @@ class TestSaveLoad:
         manifest["params"].append(extra)
         (tmp_path / "m" / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ValueError):
+            Model.load(tmp_path / "m")
+
+    def test_parameter_listed_twice_rejected(self, tmp_path):
+        # the second entry names another parameter's file of the same shape,
+        # so only the repeated name can refuse it
+        build("mbconv-base-toy", seed=0, precision="single").save(tmp_path / "m")
+        manifest = json.loads((tmp_path / "m" / "manifest.json").read_text())
+        manifest["params"].append({"name": "enc0.raise.w",
+                                   "file": "params/enc1.rev.f.project.w.rvt"})
+        (tmp_path / "m" / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="more than once.*enc0.raise.w"):
             Model.load(tmp_path / "m")

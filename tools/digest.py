@@ -23,7 +23,8 @@ replacements draw extra probes; the JSON of `gradcheck_report("mbconv-base",
 reversible estimate; and, in both precisions, the forward, input
 gradient and weight gradient of `ops.conv3d` (with its bias) and of
 `ops.depthwise_conv3d` on KERNEL_GRID, which the tap loop walks in several
-slabs, the last one short; and, for the standard-block SEGMENT_CONFIG model
+slabs, the last one short, and of a one-channel `ops.conv3d`, whose forward
+and input gradient take numpy's matrix-vector products; and, for the standard-block SEGMENT_CONFIG model
 in single precision, its forward output without a tape on a 64^3 input
 and the label file of a `revunet segment` run on a SEGMENT_SIZE^3 phantom,
 which is padded up to the grid; and, for a single-precision `RevBlock` of
@@ -54,9 +55,11 @@ STRATEGIES = ("store-all", "reversible")
 PRECISIONS = ("single", "double")
 GRADCHECK_SEEDS = (0, 5, 30)
 KINK_SEEDS = (88, 105)
-# (n, d, h, w) and channels of the kernel entries: several slabs at either precision
+# (n, d, h, w) and channels of the kernel entries: conv3d and depthwise take
+# several slabs at either precision; conv3d-1ch, one channel in and out, runs
+# forward and input gradient through np.matmul's matrix-vector products
 KERNEL_GRID = (2, 20, 33, 35)
-KERNEL_CHANNELS = {"conv3d": (4, 5), "depthwise": (6, 6)}
+KERNEL_CHANNELS = {"conv3d": (4, 5), "conv3d-1ch": (1, 1), "depthwise": (6, 6)}
 BUDGET_PRESETS = ("mbconv-base", "mbconv-wider")
 # spelled out rather than read from memplan.AXES, which older checkouts lack
 BUDGET_AXES = ("volume", "channels", "depth")
@@ -145,13 +148,13 @@ def _kernel_entry(ops, kind, precision):
     x = gen.standard_normal((n, c_in) + grid).astype(dtype)
     w = gen.standard_normal((c_out, 1 if kind == "depthwise" else c_in, 3, 3, 3)).astype(dtype)
     dy = gen.standard_normal((n, c_out) + grid).astype(dtype)
-    if kind == "conv3d":
+    if kind == "depthwise":
+        d.array("out", ops.depthwise_conv3d(x, w))
+        grads = ops.depthwise_conv3d_bwd(x, w, dy)
+    else:
         b = gen.standard_normal(c_out).astype(dtype)
         d.array("out", ops.conv3d(x, w, b))
         grads = ops.conv3d_bwd(x, w, dy, True)
-    else:
-        d.array("out", ops.depthwise_conv3d(x, w))
-        grads = ops.depthwise_conv3d_bwd(x, w, dy)
     for label, arr in zip(("dx", "dw", "db"), grads):
         d.array(label, arr)
     return d.hex()

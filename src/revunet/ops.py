@@ -10,19 +10,20 @@ arrays count as retained activation storage.
 The k x k x k convolutions share one layout: the input is zero-padded and
 flattened, with neighbouring rows and planes sharing their padding, so
 each tap's window over a (planes, h + r, w + r) grid is one contiguous
-slice. Forward and input gradient run one slab loop, _correlate: the
-grid is cut into a list of slabs of whole planes, and each slab takes
-all k**3 taps in (dz, dy, dx) order before the next, so a slab's rows
-stay in cache instead of k**3 passes over the whole grid. Each slab is
-padded on its own: one zeroed buffer, reused for every slab, is refilled
-with the slab's input planes and the r planes of halo on either side,
-and the slab's grid result is cropped straight into the (n, c, d, h, w)
-output. So forward and input gradient allocate their output and one
+slice. Every k**3 product runs in one slab loop, _correlate: the grid is
+cut into a list of slabs of whole planes, and each slab takes all k**3
+taps in (dz, dy, dx) order before the next, so a slab's rows stay in
+cache instead of k**3 passes over the whole grid. Each slab is padded on
+its own: one zeroed buffer per input, reused for every slab, is refilled
+with the slab's planes and the r planes of halo on either side, and the
+slab's grid result is cropped straight into the (n, c, d, h, w) output.
+So each kernel, forward or backward, allocates what it returns and one
 slab's scratch, and never a padded copy of a whole input or a grid to
 crop. A slab is as many planes as fit SLAB_BYTES at the kernel's channel
-counts and itemsize, but at least MIN_SLAB voxels; a grid that fits is
-one slab, which covers every grid of at most 16^3 for k = 3. The input
-gradient is the same correlation over dy with mirrored taps.
+counts (every padded input's, and the result's twice) and itemsize, but
+at least MIN_SLAB voxels; a grid that fits is one slab, which covers
+every grid of at most 16^3 for k = 3. The input gradient is the same
+correlation over dy with mirrored taps.
 
 The standard conv makes one BLAS ?gemm call per tap, slab and sample,
 C = A B + beta C, straight into the slab's grid: beta = 0 for the first
@@ -55,17 +56,25 @@ the input gradient of a k = 1 conv, whose loop multiplies by w.T as is,
 matches such a loop only to rounding; models run k = 1 convolutions
 through pointwise_conv3d.
 
-Both weight gradients read one tap view: a read-only (n, c, k, k, k, L)
-strided view of x padded whole, whose [dz, dy, dx] entry is that tap's
-window over the whole grid, refused before it is formed unless the last
-window ends inside the padded array. One batched np.matmul of the view
-against dy's centre window, with dy padded whole too, makes, per sample
-and tap, the call a matmul per tap makes, with the same strides: a
-(c_out, L) by (L, c_in) product for the standard conv, a 1 x L by L x 1
-dot per channel for the depthwise one. So dw equals that per-tap
-loop bitwise. Its sums run over the whole padded grid, whose extra
-columns are zero, so it matches the offset-major loops only to rounding.
-Every accumulation order is fixed, so repeated runs are bitwise identical.
+Both weight gradients run in the input gradient's slab loop. The loop
+pads each slab of dy once, for both products, and the matching slab of x
+into a second buffer. A read-only (n, c, k, k, k, cols) strided view of
+x's padded slab, whose [dz, dy, dx] entry is that tap's window, is
+refused before it is formed unless its last window ends inside the
+buffer. One batched np.matmul of the view against dy's centre window,
+which is dy on the slab's grid and zero in the columns the crop drops,
+makes, per sample and tap, the call a matmul per tap makes: a
+(c_out, cols) by (cols, c_in) product for the standard conv, a 1 x cols
+by cols x 1 dot per channel for the depthwise one. The slab partials are
+summed into dw in slab order. On a one-slab grid the buffers are x and
+dy padded whole, so dw equals a matmul per tap over the whole padded
+grid bitwise; on several slabs dw agrees with it to rounding. Its sums
+run over the padded grid, whose extra columns are zero, so it matches the
+offset-major loops only to rounding.
+Every accumulation order is fixed, so repeated runs at one BLAS thread
+count are bitwise identical. With OpenBLAS 0.3.31, a float64 1 x cols
+by cols x 1 dot of more than 10,000 columns rounds differently at 1
+and 2 threads, and so does a weight gradient made of those.
 
 Max pooling reduces each 2x2x2 window by three np.maximum calls over slot
 pairs: along w, then h, then d, always with the earlier slot as the
@@ -114,35 +123,19 @@ SLAB_BYTES = 1 << 20
 MIN_SLAB = 8192
 
 
-def _windows(a, k):
-    """Zero-pad ``a`` once into a flat grid; -> (padded, tap offsets, L, plane).
-
-    The padded array is (n, c, T) and its rows and planes share their
-    padding: the grid is (d, hp, wp) = (d, h + r, w + r), L = d * hp * wp
-    and plane = hp * wp. Tap (dz, dy, dx) of grid voxels [s0, s1) is the
-    contiguous slice [off + s0, off + s1), off = (dz * hp + dy) * wp + dx;
-    the offsets are listed in (dz, dy, dx) order. The zero tail keeps the
-    last window in bounds.
-    """
-    n, c, d, h, w = a.shape
-    r = k // 2
-    hp, wp = h + r, w + r
-    plane = hp * wp
-    L = d * plane
-    af = np.zeros((n, c, L + 2 * r * (plane + wp + 1)), dtype=a.dtype)
-    af[:, :, :(d + r) * plane].reshape(n, c, d + r, hp, wp)[:, :, r:, r:, r:] = a
-    return af, _offsets(h, w, k), L, plane
-
-
 def _offsets(h, w, k):
-    """Tap offsets, in (dz, dy, dx) order, into the layout _windows gives h x w planes."""
+    """Tap offsets, in (dz, dy, dx) order, into a padded slab of h x w planes."""
     r = k // 2
     hp, wp = h + r, w + r
     return [(dz * hp + dy) * wp + dx for dz in range(k) for dy in range(k) for dx in range(k)]
 
 
 def _slab(n, c_in, c_out, itemsize, plane):
-    """Grid voxels per slab: the whole planes whose rows fit SLAB_BYTES, at least MIN_SLAB."""
+    """Grid voxels per slab: the whole planes whose rows fit SLAB_BYTES, at least MIN_SLAB.
+
+    c_in counts the channels of every padded input slab, c_out those of
+    the result grid and of its product buffer.
+    """
     planes = max(SLAB_BYTES // (n * (c_in + 2 * c_out) * itemsize * plane), -(-MIN_SLAB // plane))
     return planes * plane
 
@@ -153,20 +146,9 @@ def _slabs(n, c_in, c_out, itemsize, plane, L):
     return [(s0, min(s0 + step, L)) for s0 in range(0, L, step)]
 
 
-def _tap_windows(a, k):
-    """Read-only (n, c, k, k, k, L) view of ``a`` padded by _windows.
-
-    Entry [:, :, dz, dy, dx] is tap (dz, dy, dx)'s window over the whole
-    grid: the slice _windows describes, with the same strides.
-    """
-    af, offsets, L, plane = _windows(a, k)
-    # the view reads up to the end of the last tap's window
-    if max(offsets) + L > af.shape[-1]:
-        raise ValueError("tap windows do not fit the padded grid %r" % (af.shape,))
-    item, wp = af.itemsize, a.shape[4] + k // 2
-    return np.lib.stride_tricks.as_strided(
-        af, af.shape[:2] + (k, k, k, L), af.strides[:2] + (plane * item, wp * item, item, item),
-        writeable=False)
+def _padded_slab(a, length):
+    """The zeroed (n, c, length) buffer that each padded slab of ``a`` is refilled into."""
+    return np.zeros(a.shape[:2] + (length,), dtype=a.dtype)
 
 
 def _bind_gemm():
@@ -194,17 +176,19 @@ _GEMM = _bind_gemm()
 _ROW_MAJOR, _NO_TRANS = ctypes.c_int(101), ctypes.c_int(111)
 
 
-def _correlate(a, k, offsets, taps, product=None):
+def _correlate(a, k, offsets, taps, product=None, wgrad=None):
     """Sum tap i's products with window i over ``a`` into its (n, c_out, d, h, w) output.
 
-    ``taps`` is (k**3, c_out, c_in). The grid is taken slab by slab, and
-    each slab of grid planes [z0, z1) is padded on its own: one zeroed
-    buffer, reused for every slab, takes a's planes z0 - r to z1 + r - 1,
-    halo included, in _windows' layout, so tap i's window of the slab's
-    cols grid voxels is the contiguous slice [offsets[i], offsets[i] +
-    cols) of it. The taps are summed into the first cols columns of one
-    slab-sized (n, c_out, S) grid, which is then cropped straight into the
-    output.
+    ``taps`` is (k**3, c_out, c_in). The grid is (d, hp, wp) = (d, h + r,
+    w + r) voxels, rows and planes sharing their padding, and is taken slab
+    by slab. Each slab of grid planes [z0, z1) is padded on its own: one
+    zeroed buffer, reused for every slab, takes a's planes z0 - r to
+    z1 + r - 1 at rows and columns r onward, so tap i's window of the
+    slab's cols grid voxels is the contiguous slice [offsets[i],
+    offsets[i] + cols) of it, and the buffer's zero tail keeps the last
+    tap's window inside. The taps are summed into the first cols columns
+    of one slab-sized (n, c_out, S) grid, which is then cropped straight
+    into the output.
 
     Without ``product``, each tap and slab is one ?gemm per sample, C =
     A B + beta C straight into the grid: beta is 0 for tap 0 and 1 after
@@ -214,20 +198,37 @@ def _correlate(a, k, offsets, taps, product=None):
     ``product``, or on that fallback, each tap's ``product(taps[i],
     window_i)`` goes through one slab-sized buffer and is then added into
     the grid, except tap 0's, which is written there.
+
+    With ``wgrad`` = (x, dw_product), ``a`` is a conv's output gradient
+    and x its input: each slab of x is padded into a second buffer, and
+    ``dw_product(centre, wins)`` makes the slab's weight-gradient partial
+    from a's centre window, which is a on the slab's grid and zero in the
+    columns the crop drops, and wins, a read-only (n, c_x, k, k, k, cols)
+    strided view whose [dz, dy, dx] entry is that tap's window over x's
+    padded slab. The partials are summed in slab order, and (output,
+    weight gradient) is returned.
     """
     n, c_in, d, h, w = a.shape
     c_out = taps.shape[1]
     r = k // 2
     hp, wp = h + r, w + r
-    plane = hp * wp
-    slabs = _slabs(n, c_in, c_out, a.itemsize, plane, d * plane)
+    plane, item = hp * wp, a.itemsize
+    # the centre tap's window, half the halo in, is the slab's own grid
+    centre = r * (plane + wp + 1)
+    inputs = [a] if wgrad is None else [a, wgrad[0]]
+    if wgrad is not None and wgrad[0].shape[:1] + wgrad[0].shape[2:] != (n, d, h, w):
+        raise ShapeError("input %r and output gradient %r differ in batch or grid"
+                         % (wgrad[0].shape, a.shape))
+    slabs = _slabs(n, sum(src.shape[1] for src in inputs), c_out, item, plane, d * plane)
     step = slabs[0][1]
-    pad = np.zeros((n, c_in, step + 2 * r * (plane + wp + 1)), dtype=a.dtype)
-    # every window formed from pad must end inside it
+    pads = [_padded_slab(src, step + 2 * centre) for src in inputs]
+    # every window formed from a padded slab must end inside it: the taps'
+    # over a's, and x's tap view, whose last window starts 2 * centre in
     if not (len(taps) == len(offsets) and min(offsets) >= 0
-            and max(offsets) + step <= pad.shape[2]):
-        raise ValueError("tap windows do not fit the padded %s slab %r" % (pad.dtype, pad.shape))
-    grid = np.empty((n, c_out, step), dtype=a.dtype)
+            and max(offsets) + step <= pads[0].shape[2]
+            and all(2 * centre + step <= pad.shape[2] for pad in pads[1:])):
+        raise ValueError("tap windows do not fit the padded %s slabs %s"
+                         % (a.dtype, [pad.shape for pad in pads]))
     if product is None:
         # ?gemm reads every tap as a (c_out, c_in) matrix of a's dtype
         if not (a.dtype in _GEMM and taps.dtype == a.dtype
@@ -239,37 +240,53 @@ def _correlate(a, k, offsets, taps, product=None):
             # matmul computes those as a matrix-vector product, as in the
             # loop oracle
             product = np.matmul
-    if product is None:
-        gemm, scalar = _GEMM[a.dtype]
-        # this frame holds the contiguous copy until every call below is done
-        taps = np.ascontiguousarray(taps)
-        item = a.itemsize
-        a_ptr, tap_bytes = taps.ctypes.data, c_out * c_in * item
-        m, depth, lda, ldb, ldc = (ctypes.c_int64(v) for v in (c_out, c_in, c_in, pad.shape[2], step))
-        alpha, betas = scalar(1), (scalar(0), scalar(1))
-        # set in place before each call, which costs less than new ctypes objects
-        cols, a_arg, b = ctypes.c_int64(), ctypes.c_void_p(), ctypes.c_void_p()
-        # (start of sample j's rows in pad, its rows in the grid); a loop, as
-        # a comprehension would make cells of the locals it reads on every call
-        samples = []
-        for j in range(n):
-            samples.append((pad.ctypes.data + j * c_in * ldb.value * item,
-                            ctypes.c_void_p(grid.ctypes.data + j * c_out * step * item)))
-        part = None
-    else:
-        part = np.empty_like(grid)
-    out = None
+    grid = out = dw = None
     for s0, s1 in slabs:
         z0, z1 = s0 // plane, s1 // plane
         lo, hi = max(z0 - r, 0), min(z1 + r, d)
-        # plane j of the padded slab holds a's plane z0 - r + j
-        planes = pad[:, :, :step + 2 * r * plane].reshape(n, c_in, -1, hp, wp)[:, :, :, r:, r:]
-        planes[:, :, lo - z0 + r:hi - z0 + r] = a[:, :, lo:hi]
-        if s0:
-            # planes past a's last one still hold the previous slab's; the
-            # leading ones, before a's first plane, were never written
-            planes[:, :, hi - z0 + r:] = 0
-        del planes
+        for pad, src in zip(pads, inputs):
+            # plane j of the padded slab holds src's plane z0 - r + j
+            planes = pad[:, :, :step + 2 * r * plane].reshape(pad.shape[:2] + (-1, hp, wp))
+            planes = planes[:, :, :, r:, r:]
+            planes[:, :, lo - z0 + r:hi - z0 + r] = src[:, :, lo:hi]
+            if s0:
+                # planes past src's last one still hold the previous slab's;
+                # the leading ones, before its first plane, were never written
+                planes[:, :, hi - z0 + r:] = 0
+        del pad, planes
+        if wgrad is not None:
+            xi = pads[1].itemsize
+            wins = np.lib.stride_tricks.as_strided(
+                pads[1], pads[1].shape[:2] + (k, k, k, s1 - s0),
+                pads[1].strides[:2] + (plane * xi, wp * xi, xi, xi), writeable=False)
+            partial = wgrad[1](pads[0][:, :, centre:centre + s1 - s0], wins)
+            dw = partial if dw is None else np.add(dw, partial, dw)
+            del wins
+            if len(slabs) == 1:
+                # a grid of one slab frees x's padded slab before the grid
+                # is allocated, so it holds no more than a's padded slab does
+                del pads[1]
+        if grid is None:
+            grid = np.empty((n, c_out, step), dtype=a.dtype)
+            if product is None:
+                gemm, scalar = _GEMM[a.dtype]
+                # this frame holds the contiguous copy until every call below is done
+                taps = np.ascontiguousarray(taps)
+                a_ptr, tap_bytes = taps.ctypes.data, c_out * c_in * item
+                m, depth, lda, ldb, ldc = (ctypes.c_int64(v)
+                                           for v in (c_out, c_in, c_in, pads[0].shape[2], step))
+                alpha, betas = scalar(1), (scalar(0), scalar(1))
+                # set in place before each call, which costs less than new ctypes objects
+                cols, a_arg, b = ctypes.c_int64(), ctypes.c_void_p(), ctypes.c_void_p()
+                # (start of sample j's rows in a's padded slab, its rows in the
+                # grid); a loop, as a comprehension would make cells of the
+                # locals it reads on every call
+                samples = []
+                for j in range(n):
+                    samples.append((pads[0].ctypes.data + j * c_in * ldb.value * item,
+                                    ctypes.c_void_p(grid.ctypes.data + j * c_out * step * item)))
+            else:
+                part = np.empty_like(grid)
         if product is None:
             cols.value = s1 - s0
             for i, off in enumerate(offsets):
@@ -281,18 +298,17 @@ def _correlate(a, k, offsets, taps, product=None):
         else:
             acc, sub = grid[:, :, :s1 - s0], part[:, :, :s1 - s0]
             # out arrays passed by position: cheaper than the keyword per call
-            product(taps[0], pad[:, :, offsets[0]:offsets[0] + s1 - s0], acc)
+            product(taps[0], pads[0][:, :, offsets[0]:offsets[0] + s1 - s0], acc)
             for tap, off in zip(taps[1:], offsets[1:]):
-                np.add(acc, product(tap, pad[:, :, off:off + s1 - s0], sub), acc)
+                np.add(acc, product(tap, pads[0][:, :, off:off + s1 - s0], sub), acc)
         if out is None:
             if len(slabs) == 1:
-                # a grid of one slab frees its padded input and product buffer
-                # before the output is allocated, so it holds no more than the
-                # whole padded grid did
-                pad = part = None
+                # a grid of one slab frees a's padded slab and the product
+                # buffer before the output is allocated
+                pads = part = None
             out = np.empty((n, c_out, d, h, w), dtype=a.dtype)
         out[:, :, z0:z1] = grid[:, :, :s1 - s0].reshape(n, c_out, z1 - z0, hp, wp)[:, :, :, :h, :w]
-    return out
+    return out if wgrad is None else (out, dw)
 
 
 def _check_dtypes(*arrays):
@@ -321,18 +337,14 @@ def conv3d(x, w, b=None):
 def conv3d_bwd(x, w, dy, has_bias):
     _check_dtypes(x, w, dy)
     co, ci, k = w.shape[:3]
-    dyf, offsets, L, _ = _windows(dy, k)
-    # the centre window is dy on the grid, zero in the columns the crop drops
-    centre = offsets[len(offsets) // 2]
-    dyg = dyf[:, :, centre:centre + L]
-    wins = _tap_windows(x, k)
-    # one (co, L) by (L, ci) product per sample and tap, as a matmul per tap makes
-    dw = np.matmul(dyg[:, None, None, None], wins.transpose(0, 2, 3, 4, 5, 1)).sum(axis=0)
-    # both padded grids are freed before the input gradient is allocated:
-    # this bounds the backward's peak memory
-    del wins, dyf, dyg
+
+    def dw_product(dyc, wins):
+        # one (co, cols) by (cols, ci) product per sample and tap, as a matmul per tap makes
+        return np.matmul(dyc[:, None, None, None], wins.transpose(0, 2, 3, 4, 5, 1)).sum(axis=0)
+
     # the adjoint is the same correlation over dy, with mirrored taps
-    dx = _correlate(dy, k, offsets[::-1], w.reshape(co, ci, -1).transpose(2, 1, 0))
+    dx, dw = _correlate(dy, k, _offsets(*x.shape[3:], k)[::-1],
+                        w.reshape(co, ci, -1).transpose(2, 1, 0), wgrad=(x, dw_product))
     db = dy.sum(axis=(0, 2, 3, 4)) if has_bias else None
     return dx, np.ascontiguousarray(dw.transpose(3, 4, 0, 1, 2)), db
 
@@ -372,16 +384,16 @@ def depthwise_conv3d(x, w):
 
 
 def depthwise_conv3d_bwd(x, w, dy):
+    _check_dtypes(x, w, dy)
     c, k = x.shape[1], w.shape[2]
     taps = w.reshape(c, -1, 1).transpose(1, 0, 2)
-    dyf, offsets, L, _ = _windows(dy, k)
-    centre = offsets[len(offsets) // 2]
-    dyg = dyf[:, :, None, None, None, centre:centre + L, None]
-    # one 1 x L by L x 1 dot per sample, channel and tap, as a matmul per tap makes
-    wins = _tap_windows(x, k)
-    dw = np.matmul(wins[..., None, :], dyg)[..., 0, 0].sum(axis=0)
-    del wins, dyf, dyg
-    dx = _correlate(dy, k, offsets[::-1], taps, np.multiply)
+
+    def dw_product(dyc, wins):
+        # one 1 x cols by cols x 1 dot per sample, channel and tap, as a matmul per tap makes
+        dots = np.matmul(wins[..., None, :], dyc[:, :, None, None, None, :, None])
+        return dots[..., 0, 0].sum(axis=0)
+
+    dx, dw = _correlate(dy, k, _offsets(*x.shape[3:], k)[::-1], taps, np.multiply, (x, dw_product))
     return dx, dw.reshape(w.shape)
 
 

@@ -94,6 +94,40 @@ def tensor_write(t: np.ndarray, path) -> None:
         fh.write(np.ascontiguousarray(t, dtype=DTYPES[prec]).tobytes())
 
 
+def _read_header(fh):
+    """Check an open RVT1 file's header, and the payload size it declares
+    against the file size, reading no payload byte: -> (dtype, dims)."""
+    head = fh.read(_HEADER.size)
+    if len(head) < _HEADER.size:
+        raise FormatError(f"file too short for RVT1 header: {len(head)} bytes")
+    magic, tag, rank, *dims = _HEADER.unpack(head)
+    if magic != MAGIC:
+        raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
+    if tag not in _TAG_PREC:
+        raise FormatError(f"unknown precision tag {tag}")
+    if rank != 5:
+        raise FormatError(f"rank must be 5, got {rank}")
+    dtype = DTYPES[_TAG_PREC[tag]]
+    count = 1
+    for d in dims:
+        if d < 1:
+            raise FormatError(f"dims must be >= 1, got {tuple(dims)}")
+        count *= d
+    payload = os.fstat(fh.fileno()).st_size - _HEADER.size
+    if payload != count * dtype.itemsize:
+        raise FormatError(
+            f"payload holds {payload // dtype.itemsize} scalars, header declares {count}"
+        )
+    return dtype, tuple(dims)
+
+
+def tensor_shape(path) -> tuple:
+    """The shape an RVT1 file's header declares, checked as tensor_read
+    checks it, without reading the payload."""
+    with open(path, "rb") as fh:
+        return _read_header(fh)[1]
+
+
 def tensor_read(path) -> np.ndarray:
     """Read an RVT1 file back into a rank-5 array.
 
@@ -102,29 +136,9 @@ def tensor_read(path) -> np.ndarray:
     straight into the returned array. NaN or Inf scalars are refused.
     """
     with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if len(head) < _HEADER.size:
-            raise FormatError(f"file too short for RVT1 header: {len(head)} bytes")
-        magic, tag, rank, *dims = _HEADER.unpack(head)
-        if magic != MAGIC:
-            raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
-        if tag not in _TAG_PREC:
-            raise FormatError(f"unknown precision tag {tag}")
-        if rank != 5:
-            raise FormatError(f"rank must be 5, got {rank}")
-        dtype = DTYPES[_TAG_PREC[tag]]
-        count = 1
-        for d in dims:
-            if d < 1:
-                raise FormatError(f"dims must be >= 1, got {tuple(dims)}")
-            count *= d
-        payload = os.fstat(fh.fileno()).st_size - _HEADER.size
-        if payload != count * dtype.itemsize:
-            raise FormatError(
-                f"payload holds {payload // dtype.itemsize} scalars, header declares {count}"
-            )
+        dtype, dims = _read_header(fh)
         data = np.empty(dims, dtype=dtype)
-        if fh.readinto(data) != payload:
+        if fh.readinto(data) != data.nbytes:
             raise FormatError("file shrank while its payload was read")
     if not _finite(data):
         raise FormatError("payload holds NaN or Inf scalars")

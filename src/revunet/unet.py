@@ -31,6 +31,7 @@ ones).
 
 import dataclasses
 import json
+import math
 import os
 
 import numpy as np
@@ -39,7 +40,7 @@ from .blocks import make_block, standard_block
 from .engine import STRATEGIES, Conv, EngineError, MaxPool2, Node, RevBlock, Upsample2, walk
 from .rng import rng_for
 from .tensor import (DTYPES, ShapeError, check_tensor5, ew_add, precision_of, tensor_read,
-                     tensor_write)
+                     tensor_shape, tensor_write)
 
 
 def _positive_int(v):
@@ -115,10 +116,14 @@ class UNetConfig:
         unknown = sorted(set(d) - {field.name for field in dataclasses.fields(cls)})
         if unknown:
             raise ValueError("unknown config keys: %s" % ", ".join(map(repr, unknown)))
+        missing = [field.name for field in dataclasses.fields(cls)
+                   if field.default is dataclasses.MISSING and field.name not in d]
+        if missing:
+            raise ValueError("config lacks required keys: %s" % ", ".join(map(repr, missing)))
         for name in _LIST_FIELDS:
             if not isinstance(d[name], list):
                 raise ValueError("%s must be a list of positive integers, got %r" % (name, d[name]))
-        # keys left out take the field defaults
+        # optional keys left out take the field defaults
         return cls(**{k: tuple(v) if k in _LIST_FIELDS else v for k, v in d.items()})
 
 
@@ -340,13 +345,19 @@ class Model:
         """Load a saved model directory, refusing manifest paths that leave it.
 
         The directory is trusted as a whole: the path check is textual, so a
-        symlink inside it is followed wherever it points.
+        symlink inside it is followed wherever it points. Nothing is built
+        until the parameter files' headers declare as many elements as the
+        config's parameters hold, so a config cannot size an allocation that
+        the files do not back.
         """
+        from .memplan import param_elements   # memplan imports this module
+
         with open(os.path.join(path, "config.json")) as f:
             doc = json.load(f)
         if not (isinstance(doc, dict) and isinstance(doc.get("precision"), str)):
             raise ValueError("config.json must hold a JSON object with a precision string")
-        model = cls(UNetConfig.from_dict(doc["config"]), doc["precision"])
+        config = UNetConfig.from_dict(doc["config"])
+        config.validate()
         with open(os.path.join(path, "manifest.json")) as f:
             manifest = json.load(f)
         params = manifest.get("params") if isinstance(manifest, dict) else None
@@ -360,6 +371,13 @@ class Model:
             names = [entry["name"] for entry in params]
             raise ValueError("manifest lists parameters more than once: %s"
                              % sorted({name for name in names if names.count(name) > 1}))
+        declared = sum(math.prod(tensor_shape(os.path.join(path, _inside(entry["file"]))))
+                       for entry in params)
+        needed = param_elements(config)
+        if declared != needed:
+            raise ValueError("the parameter files hold %d elements, the config needs %d"
+                             % (declared, needed))
+        model = cls(config, doc["precision"])
         for name, leaf, attr, arr in model.parameters():
             entry = by_name.pop(name, None)
             if entry is None:

@@ -254,6 +254,14 @@ class TestMemplan:
             assert code == 2 and out == ""
             assert err.startswith("error: ") and "'num_clases'" in err
 
+    def test_missing_required_config_keys_are_named(self, capsys, tmp_path):
+        # a bare KeyError used to name only the first missing key
+        bad = tmp_path / "partial.json"
+        bad.write_text(json.dumps({"block_kind": "mbconv", "expand_ratio": 2}))
+        code, out, err = run(capsys, ["memplan", "--config", str(bad)])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "'widths'" in err and "'image_size'" in err
+
 
 class TestPhantoms:
     def test_writes_valid_corpus(self, capsys, tmp_path):
@@ -508,6 +516,30 @@ class TestTrainAndSegment:
                                     "--volume", vol, "--out", str(tmp_path / "o.rvt")])
         assert code == 2
         assert "outside the model directory" in err
+        assert not os.path.exists(tmp_path / "o.rvt")
+
+    def test_config_larger_than_its_parameter_files_is_usage_error(self, tmp_path):
+        # one huge width once made Model(...) allocate ~25 TiB before any
+        # parameter file was read; the child's address space is capped, so
+        # such an allocation fails there with a MemoryError
+        model_dir = tmp_path / "m"
+        build("baseline-toy", seed=0, precision="single").save(model_dir)
+        doc = json.loads((model_dir / "config.json").read_text())
+        doc["config"]["widths"] = [2, 4, 6, 8, 1000000]
+        (model_dir / "config.json").write_text(json.dumps(doc))
+        vol = str(tmp_path / "v.rvt")
+        tensor_write(np.zeros((1, 4, 16, 16, 16), dtype=np.float32), vol)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        child = ("import resource, sys; "
+                 "resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31)); "
+                 "from revunet import cli; sys.exit(cli.main())")
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "segment", "--model", str(model_dir), "--volume", vol,
+             "--out", str(tmp_path / "o.rvt")],
+            env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
         assert not os.path.exists(tmp_path / "o.rvt")
 
     @pytest.mark.parametrize("corrupt", [

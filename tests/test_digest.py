@@ -37,15 +37,16 @@ def test_digest_covers_every_entry():
 
 
 def test_kernel_entries_take_several_slabs():
-    # forward and input gradient each walk the grid with one channel count
-    # on either side; every walk must cross slab edges and end in a short
-    # slab, except the one-channel entry's, which fits one slab
+    # the forward walks the grid with x's c_in channels padded and c_out in
+    # its result; the backward pads dy's c_out and x's c_in channels and
+    # sums dx's c_in. Every walk must cross slab edges and end in a short
+    # slab; the one-channel entry is not asked to
     digest = _load()
     n, d, h, w = digest.KERNEL_GRID
     plane = (h + 1) * (w + 1)
     for c_in, c_out in (digest.KERNEL_CHANNELS[kind] for kind in ("conv3d", "depthwise")):
         for itemsize in (4, 8):
-            for a, b in ((c_in, c_out), (c_out, c_in)):
+            for a, b in ((c_in, c_out), (c_out + c_in, c_in)):
                 slabs = ops._slabs(n, a, b, itemsize, plane, d * plane)
                 assert len(slabs) > 1
                 assert slabs[-1][1] - slabs[-1][0] < slabs[0][1] - slabs[0][0]

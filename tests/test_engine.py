@@ -278,7 +278,8 @@ class TestRevBlock:
         assert not np.shares_memory(dx, dy) and not np.shares_memory(dx, y)
 
     # in block-input activations, measured with numpy 2.4: mbconv 7.51,
-    # standard 3.14. A fused GN -> ReLU backward that masks dy into a new
+    # standard 3.34, where the conv backward's slab holds padded dy, padded
+    # x and the grid. A fused GN -> ReLU backward that masks dy into a new
     # array, not into the rebuilt ReLU input, reads 7.79 and 3.16; unfused
     # nodes, each ReLU saving its input, read 9.01 and 3.51
     REV_BACKWARD_PEAK_ACTIVATIONS = {"mbconv": 7.76, "standard": 3.39}

@@ -224,8 +224,8 @@ MULTI_SLAB = [((1, 8, 20, 33, 35), 8), ((2, 6, 18, 40, 24), 6), ((1, 3, 41, 34, 
 # than the loops do, and the rounding of a K-term sum of terms of either
 # sign grows like eps * sqrt(K), so past small grids dw is held to
 # DW_SCALE * eps * sqrt(K) instead of DW_TOL: float32 dw at x (1, 3, 40,
-# 34, 30) with 4 output channels reads 1.46e-6, 0.061 eps sqrt(K), and the
-# largest of the grids here in either precision 0.080 eps sqrt(K).
+# 34, 30) with 4 output channels reads 1.30e-6, 0.054 eps sqrt(K), the
+# largest of the grids here in either precision.
 DW_SCALE = 0.25
 
 
@@ -270,7 +270,7 @@ class TestMultiSlabKernels:
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_conv3d_dw_within_the_scaled_bound_where_dw_tol_is_too_tight(dtype):
-    # the grid where float32 dw first read past DW_TOL (1.46e-6)
+    # the grid where float32 dw first read past DW_TOL (1.30e-6)
     x, w, dy = TestMultiSlabKernels()._data("conv", dtype, (1, 3, 40, 34, 30), 4)
     dw = ops.conv3d_bwd(x, w, dy, False)[1]
     assert verify._rel(dw, _loops_conv3d_bwd(x, w, dy)[1]) <= _dw_bound(x)
@@ -327,6 +327,15 @@ class TestConvBoundary:
             ops.conv3d_bwd(x, w, dy.astype(np.float64), False)
         with pytest.raises(TypeError):
             ops.conv3d_bwd(x.astype(np.float64), w, dy, False)
+
+    def test_depthwise_backward_refuses_mixed_precisions(self):
+        # its tap view over x's padded slab and dy's product share no dtype check otherwise
+        x, _, dy = self._data()
+        w = _gen("boundary-dw").standard_normal((3, 1, 3, 3, 3)).astype(np.float32)
+        dy = dy[:, :1].repeat(3, axis=1)
+        for args in ((x, w, dy.astype(np.float64)), (x.astype(np.float64), w.astype(np.float64), dy)):
+            with pytest.raises(TypeError):
+                ops.depthwise_conv3d_bwd(*args)
 
     @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.float16])
     def test_other_dtypes_are_refused(self, dtype):
@@ -414,16 +423,18 @@ def _traced_peak(fn):
             tracemalloc.stop()
 
 
-def _slab_scratch(n, c_in, c_out, itemsize, grid, k=3):
+def _slab_scratch(n, c_in, c_out, itemsize, grid, k=3, c_x=0):
     """Bytes of a tap loop's scratch: one padded input slab with its halo,
+    and one of x's when the loop makes a weight gradient from c_x channels,
     the slab's result grid and one product buffer of the same size, and the
     taps' contiguous copy."""
     d, h, w = grid
     r = k // 2
     plane = (h + r) * (w + r)
-    step = ops._slabs(n, c_in, c_out, itemsize, plane, d * plane)[0][1]
+    step = ops._slabs(n, c_in + c_x, c_out, itemsize, plane, d * plane)[0][1]
     halo = 2 * r * (plane + w + r + 1)
-    return itemsize * (n * c_in * (step + halo) + 2 * n * c_out * step + k ** 3 * c_in * c_out)
+    return itemsize * (n * (c_in + c_x) * (step + halo) + 2 * n * c_out * step
+                       + k ** 3 * c_in * c_out)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -454,27 +465,25 @@ class TestOneCallMemory:
         peak, out = _traced_peak(lambda: ops.depthwise_conv3d(x, w))
         assert peak <= out.nbytes + _slab_scratch(n, c, c, x.itemsize, shape[2:]) + CALL_SLACK
 
-    def _assert_backward_phases(self, peak, x, w, dy, dx):
-        # the weight gradient holds padded x and padded dy, and its per-sample
-        # products next to their sum; both grids are freed before the input
-        # gradient, which holds dx, one slab's scratch, dw and its copy
-        padded = ops._windows(x, 3)[0].nbytes + ops._windows(dy, 3)[0].nbytes
-        dw_phase = padded + (x.shape[0] + 1) * w.nbytes
-        dx_phase = dx.nbytes + _slab_scratch(x.shape[0], dy.shape[1], x.shape[1], x.itemsize,
-                                             x.shape[2:]) + 2 * w.nbytes
-        assert peak <= max(dw_phase, dx_phase) + CALL_SLACK, (peak, dw_phase, dx_phase)
+    def _assert_backward(self, peak, x, dy, dx, dw):
+        # dx, dw and one slab's scratch: dy's and x's padded slabs, the grid,
+        # a product buffer and the taps' copy; no padded copy of a whole input
+        scratch = _slab_scratch(x.shape[0], dy.shape[1], x.shape[1], x.itemsize, x.shape[2:],
+                                c_x=x.shape[1])
+        bound = dx.nbytes + dw.nbytes + scratch + CALL_SLACK
+        assert peak <= bound, (peak / x.nbytes, bound / x.nbytes)
 
     @pytest.mark.parametrize("co", [2, 8])
     def test_conv3d_input_gradient(self, dtype, shape, co):
         x, w, dy = self._data(dtype, shape, co)
-        peak, (dx, _, _) = _traced_peak(lambda: ops.conv3d_bwd(x, w, dy, False))
-        self._assert_backward_phases(peak, x, w, dy, dx)
+        peak, (dx, dw, _) = _traced_peak(lambda: ops.conv3d_bwd(x, w, dy, False))
+        self._assert_backward(peak, x, dy, dx, dw)
 
     def test_depthwise_conv3d_input_gradient(self, dtype, shape):
         x, w, _ = self._data(dtype, shape, shape[1], depthwise=True)
         dy = _gen("memory-dy", str(dtype)).standard_normal(shape).astype(dtype)
-        peak, (dx, _) = _traced_peak(lambda: ops.depthwise_conv3d_bwd(x, w, dy))
-        self._assert_backward_phases(peak, x, w, dy, dx)
+        peak, (dx, dw) = _traced_peak(lambda: ops.depthwise_conv3d_bwd(x, w, dy))
+        self._assert_backward(peak, x, dy, dx, dw)
 
     def test_group_norm_without_xhat(self, dtype, shape):
         x, _, _ = self._data(dtype, shape, shape[1])
@@ -543,13 +552,24 @@ class TestDepthwise:
         assert _same_bits(out, _loops_depthwise(x, w)) and np.signbit(out).all()
 
 
+def _padded_grid(a, k):
+    """``a`` zero-padded whole into the layout of a one-slab tap loop: -> (padded, offsets, L)."""
+    n, c, d, h, w = a.shape
+    r = k // 2
+    hp, wp = h + r, w + r
+    L = d * hp * wp
+    af = np.zeros((n, c, L + 2 * r * (hp * wp + wp + 1)), dtype=a.dtype)
+    af[:, :, :(d + r) * hp * wp].reshape(n, c, d + r, hp, wp)[:, :, r:, r:, r:] = a
+    return af, ops._offsets(h, w, k), L
+
+
 def _per_tap_depthwise_dw(x, w, dy):
     # the weight gradient as one matmul per tap, each a 1 x L by L x 1 dot
     k = w.shape[2]
-    dyf, offsets, L, _ = ops._windows(dy, k)
+    dyf, offsets, L = _padded_grid(dy, k)
     centre = offsets[len(offsets) // 2]
     dyg = dyf[:, :, centre:centre + L, None]
-    xf = ops._windows(x, k)[0]
+    xf = _padded_grid(x, k)[0]
     return np.stack([np.matmul(xf[:, :, None, off:off + L], dyg)[:, :, 0, 0].sum(axis=0)
                      for off in offsets], axis=-1).reshape(w.shape)
 
@@ -557,17 +577,19 @@ def _per_tap_depthwise_dw(x, w, dy):
 def _per_tap_conv3d_dw(x, w, dy):
     # the weight gradient as one (co, L) by (L, ci) matmul per tap
     k = w.shape[2]
-    dyf, offsets, L, _ = ops._windows(dy, k)
+    dyf, offsets, L = _padded_grid(dy, k)
     centre = offsets[len(offsets) // 2]
     dyg = dyf[:, :, centre:centre + L]
-    xf = ops._windows(x, k)[0]
+    xf = _padded_grid(x, k)[0]
     return np.stack([np.matmul(dyg, xf[:, :, off:off + L].transpose(0, 2, 1)).sum(axis=0)
                      for off in offsets], axis=-1).reshape(w.shape)
 
 
 class TestDepthwiseWeightGradient:
-    """Both weight gradients read every tap's window through one strided
-    view of padded x, and equal a matmul per tap bit for bit."""
+    """Both weight gradients run in _correlate's slab loop: per slab, one
+    batched matmul of the tap windows over x's padded slab against dy's
+    centre window. Every grid here is one slab, whose padded buffers are
+    the whole padded grid, so dw equals a matmul per tap bit for bit."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("n", [1, 2])
@@ -592,33 +614,35 @@ class TestDepthwiseWeightGradient:
         assert _same_bits(ops.conv3d_bwd(x, w, dy, False)[1], _per_tap_conv3d_dw(x, w, dy))
 
     def _shorten_padded(self, monkeypatch, target):
-        # target's padded grid ends one element before its last tap window does
-        windows = ops._windows
+        # target's padded slab, and only its, ends one element before its
+        # last tap window does; the real _padded_slab is read before any
+        # earlier patch of this test is replaced
+        monkeypatch.undo()
+        padded_slab = ops._padded_slab
 
-        def short(a, k):
-            af, offsets, L, plane = windows(a, k)
-            if a is target:
-                af = af[:, :, :offsets[-1] + L - 1]
-            return af, offsets, L, plane
+        def short(a, length):
+            return padded_slab(a, length - 1 if a is target else length)
 
-        monkeypatch.setattr(ops, "_windows", short)
+        monkeypatch.setattr(ops, "_padded_slab", short)
 
     def test_a_window_past_the_padded_grid_is_refused(self, monkeypatch):
         gen = _gen("dw-guard")
         x, dy = gen.standard_normal((2, 1, 3, 4, 5, 6))
         w = gen.standard_normal((3, 1, 3, 3, 3))
-        self._shorten_padded(monkeypatch, x)
-        with pytest.raises(ValueError, match="tap windows"):
-            ops.depthwise_conv3d_bwd(x, w, dy)
+        for target in (x, dy):
+            self._shorten_padded(monkeypatch, target)
+            with pytest.raises(ValueError, match="tap windows"):
+                ops.depthwise_conv3d_bwd(x, w, dy)
 
     def test_conv3d_a_window_past_the_padded_grid_is_refused(self, monkeypatch):
         gen = _gen("conv-guard")
         x = gen.standard_normal((1, 3, 4, 5, 6))
         w = gen.standard_normal((2, 3, 3, 3, 3))
         dy = gen.standard_normal((1, 2, 4, 5, 6))
-        self._shorten_padded(monkeypatch, x)
-        with pytest.raises(ValueError, match="tap windows"):
-            ops.conv3d_bwd(x, w, dy, False)
+        for target in (x, dy):
+            self._shorten_padded(monkeypatch, target)
+            with pytest.raises(ValueError, match="tap windows"):
+                ops.conv3d_bwd(x, w, dy, False)
 
 
 class TestSeparability:

@@ -56,8 +56,10 @@ PRECISIONS = ("single", "double")
 GRADCHECK_SEEDS = (0, 5, 30)
 KINK_SEEDS = (88, 105)
 # (n, d, h, w) and channels of the kernel entries: conv3d and depthwise take
-# several slabs at either precision; conv3d-1ch, one channel in and out, runs
-# forward and input gradient through np.matmul's matrix-vector products
+# several slabs at either precision, the last one short, both in the forward
+# and in the backward, whose slabs hold padded x next to padded dy; conv3d-1ch,
+# one channel in and out, runs forward and input gradient through np.matmul's
+# matrix-vector products
 KERNEL_GRID = (2, 20, 33, 35)
 KERNEL_CHANNELS = {"conv3d": (4, 5), "conv3d-1ch": (1, 1), "depthwise": (6, 6)}
 BUDGET_PRESETS = ("mbconv-base", "mbconv-wider")

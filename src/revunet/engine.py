@@ -334,8 +334,8 @@ class RevBlock(Node):
 
 
 def walk(node):
-    """Yield leaf nodes (parameter holders and primitives) in the order a taped
-    forward runs them; a forward without a tape reduces before it upsamples."""
+    """Yield leaf nodes (parameter holders and primitives) in the order a
+    forward runs them, with a tape or without one."""
     kids = node.children()
     if not kids:
         yield node

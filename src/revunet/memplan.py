@@ -79,7 +79,7 @@ def _entries(config, strategy):
             out.append(("pool%d" % i, "idx", "maxpool", c * s[i + 1]))
     for i in reversed(range(levels - 1)):
         out.extend([
-            ("dec%d.reduce" % i, "input", "pointwise", widths[i + 1] * s[i]),
+            ("dec%d.reduce" % i, "input", "pointwise", widths[i + 1] * s[i + 1]),
             ("dec%d.conv" % i, "input", "conv", widths[i] * s[i]),
             ("dec%d.gn" % i, "xhat", "groupnorm", widths[i] * s[i]),
             ("dec%d.gn" % i, "rstd", "groupnorm", widths[i] // group_size_for(widths[i])),

@@ -272,7 +272,8 @@ def _correlate(a, k, offsets, taps, product=None, wgrad=None):
                 gemm, scalar = _GEMM[a.dtype]
                 # this frame holds the contiguous copy until every call below is done
                 taps = np.ascontiguousarray(taps)
-                a_ptr, tap_bytes = taps.ctypes.data, c_out * c_in * item
+                # addresses from the array interface: `.ctypes` leaves a traced residue
+                a_ptr, tap_bytes = taps.__array_interface__["data"][0], c_out * c_in * item
                 m, depth, lda, ldb, ldc = (ctypes.c_int64(v)
                                            for v in (c_out, c_in, c_in, pads[0].shape[2], step))
                 alpha, betas = scalar(1), (scalar(0), scalar(1))
@@ -282,9 +283,10 @@ def _correlate(a, k, offsets, taps, product=None, wgrad=None):
                 # grid); a loop, as a comprehension would make cells of the
                 # locals it reads on every call
                 samples = []
+                b_ptr, c_ptr = (arr.__array_interface__["data"][0] for arr in (pads[0], grid))
                 for j in range(n):
-                    samples.append((pads[0].ctypes.data + j * c_in * ldb.value * item,
-                                    ctypes.c_void_p(grid.ctypes.data + j * c_out * step * item)))
+                    samples.append((b_ptr + j * c_in * ldb.value * item,
+                                    ctypes.c_void_p(c_ptr + j * c_out * step * item)))
             else:
                 part = np.empty_like(grid)
         if product is None:

@@ -4,22 +4,24 @@ The network is a chain of nested Level nodes followed by a head. Level i
 runs its encoder (pointwise channel-raise to widths[i], then a reversible
 block whose F and G halves are blocks of width widths[i]/2). Above the
 bottom level it then 2x2x2 max-pools into level i+1, which it holds as
-`down`, and runs its decoder on what comes back: trilinear upsample,
-pointwise reduce widths[i+1] -> widths[i], additive skip from its own
-encoder, then a standard conv block. Head: pointwise to num_classes.
-Forward, backward and the leaf (parameter) order all follow this one
-nesting. Batch size is fixed at 1 (group norm makes this viable).
+`down`, and runs its decoder on what comes back: pointwise reduce
+widths[i+1] -> widths[i] on the coarse grid, trilinear upsample, additive
+skip from its own encoder, then a standard conv block. Head: pointwise to
+num_classes. Forward with or without a tape, backward and the leaf
+(parameter) order all follow this one nesting and this one order, so
+taped and tape-less logits are bitwise equal. Batch size is fixed at 1
+(group norm makes this viable).
 
-A forward without a tape (inference) reduces before it upsamples in each
-decoder, so the reduce runs on the coarse grid and the upsample moves
-widths[i] channels, not widths[i+1]. Tape-less and taped logits therefore
-agree to rounding, not bit for bit
-(tests/test_unet.py::TestTapelessForward::test_tapeless_and_taped_logits_agree_to_rounding).
+The reduce comes before the upsample: both are linear and every upsample
+row sums to 1, so the bias passes through. The reduce therefore saves its
+input, level i+1's output, on the coarse grid, and the upsample moves
+widths[i] channels, not widths[i+1].
+
 Every forward hands its input over: no frame holds it after enc0.raise
 has read it, nor a pooled input after the next level's raise, so without
-a tape both are freed there unless the caller keeps a reference. Each op
-of it allocates only its output and at most one conv slab's scratch (see
-ops). On the `segment-conv` config the tape-less forward peaks at 3.00
+a tape both are freed there unless the caller keeps a reference. Without
+a tape each op allocates only its output and at most one conv slab's
+scratch (see ops). On the `segment-conv` config the tape-less forward peaks at 3.00
 level-0 activations, in enc0.rev's group norms; at the mbconv-base
 widths on a 64x64x48 volume it peaks at 4.18, in enc0.rev's depthwise
 convs.
@@ -172,11 +174,10 @@ class Level(Node):
     """Encoder level i, every level below it, and decoder level i.
 
     raise_ -> rev gives h. Above the bottom level, h is pooled and handed to
-    `down` (level i+1); what comes back is upsampled, reduced, added to h as
+    `down` (level i+1); what comes back is reduced, upsampled, added to h as
     the skip and run through the decoder block. The bottom level stops at h.
-    Without a tape the reduce comes before the upsample (see the module
-    docstring), and the input is freed once raise_ has read it unless the
-    caller keeps its own reference.
+    The input is freed once raise_ has read it unless the caller keeps its
+    own reference.
     """
 
     op = "level"
@@ -199,7 +200,7 @@ class Level(Node):
             self.block = standard_block("dec%d" % i, c, dtype)
 
     def children(self):
-        nodes = (self.raise_, self.rev, self.pool, self.down, self.up, self.reduce, self.block)
+        nodes = (self.raise_, self.rev, self.pool, self.down, self.reduce, self.up, self.block)
         return [n for n in nodes if n is not None]
 
     def levels(self):
@@ -225,19 +226,14 @@ class Level(Node):
 
     def _with_skip(self, h, tape):
         """The decoder block's input: the levels below run on pooled h, then
-        upsample, reduce and the skip add of h itself. Without a tape the
-        reduce runs first, on the coarse grid: both ops are linear, and each
-        upsample row sums to 1, so they commute up to rounding."""
-        if tape is None:
-            return ew_add(self.up.forward(self.reduce.forward(
-                self.down.forward(self.pool.forward(h, None), None), None), None), h)
-        return ew_add(self.reduce.forward(self.up.forward(
+        the reduce on the coarse grid, the upsample and the skip add of h."""
+        return ew_add(self.up.forward(self.reduce.forward(
             self.down.forward(self.pool.forward(h, tape), tape), tape), tape), h)
 
     def backward(self, dy, tape):
         if self.down is not None:
             dy = self.block.backward(dy, tape)   # additive skip: grad fans out unchanged
-            dlow = self.down.backward(self.up.backward(self.reduce.backward(dy, tape), tape), tape)
+            dlow = self.down.backward(self.reduce.backward(self.up.backward(dy, tape), tape), tape)
             dy = ew_add(self.pool.backward(dlow, tape), dy)
         return self.raise_.backward(self.rev.backward(dy, tape), tape)
 

@@ -493,6 +493,38 @@ class TestOneCallMemory:
         assert peak <= out.nbytes + CALL_SLACK, (peak, out.nbytes)
 
 
+def test_repeated_conv3d_calls_leave_no_traced_residue():
+    # ?gemm's buffer addresses come from the array interface; reading them
+    # through `.ctypes` left 1.3-7.2 KB of small blocks behind. Blocks of
+    # 64 KiB and more are not per-call residue: numpy allocates one of about
+    # 0.94 MB after some 10,000 `__array_interface__` reads in a process,
+    # and replaces it some 32,000 reads later
+    gen = _gen("residue")
+    x = gen.standard_normal((1, 4, 8, 8, 8))
+    w = gen.standard_normal((4, 4, 3, 3, 3))
+
+    def large_blocks():
+        return {t for t in tracemalloc.take_snapshot().traces if t.size >= 64 * 1024}
+
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        ops.conv3d(x, w)
+        held = large_blocks()
+        gc.collect()
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in range(2000):
+            ops.conv3d(x, w)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - base
+        grown -= sum(t.size for t in large_blocks() - held)
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert grown <= 2 * 1024, grown
+
+
 class TestPointwise:
     def test_identity_matrix_kernel(self):
         x = _gen("pw").standard_normal((1, 3, 2, 2, 2))

@@ -294,20 +294,45 @@ class TestHandOver:
         assert np.array_equal(model.forward(x, None), first)
 
 
+_FORWARD_CONFIGS = pytest.mark.parametrize(
+    "config", ["mbconv-base-toy", "baseline-toy", verify.TOY2],
+    ids=["mbconv-base-toy", "baseline-toy", "TOY2"])
+
+
 class TestTapelessForward:
+    @pytest.mark.parametrize("strategy", ["store-all", "reversible"])
     @pytest.mark.parametrize("precision", ["single", "double"])
-    @pytest.mark.parametrize("config", ["mbconv-base-toy", "baseline-toy", verify.TOY2],
-                             ids=["mbconv-base-toy", "baseline-toy", "TOY2"])
-    def test_tapeless_and_taped_logits_agree_to_rounding(self, config, precision):
-        # without a tape each decoder reduces before it upsamples; the two
-        # orders are equal in exact arithmetic, not bit for bit
-        model = build(config, seed=7, precision=precision)
+    @_FORWARD_CONFIGS
+    def test_tapeless_and_taped_logits_are_bitwise_equal(self, config, precision, strategy):
+        # every forward runs one decoder order, so a tape changes what is
+        # saved and nothing that is computed
+        model = build(config, seed=7, precision=precision, strategy=strategy)
         cfg = model.config
         x = rng_for(7, "x").standard_normal((1, cfg.in_ch) + cfg.image_size).astype(model.dtype)
         a = model.forward(x, None)
         b = model.forward(x, Tape())
-        eps = np.finfo(model.dtype).eps
-        assert np.max(np.abs(a - b)) <= 8 * eps * np.max(np.abs(b))
+        assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("taped", [True, False], ids=["tape", "no-tape"])
+    @pytest.mark.parametrize("strategy", ["store-all", "reversible"])
+    @_FORWARD_CONFIGS
+    def test_leaves_run_in_walk_order(self, config, strategy, taped):
+        model = build(config, seed=7, strategy=strategy)
+        cfg = model.config
+        x = rng_for(7, "x").standard_normal((1, cfg.in_ch) + cfg.image_size)
+        ran = []
+
+        def recording(leaf):
+            def forward(x, tape):
+                ran.append(leaf.name)
+                return type(leaf).forward(leaf, x, tape)
+            return forward
+
+        # an instance attribute shadows the class's forward, as in verify._reuse_unchanged
+        for leaf in model.leaves():
+            leaf.forward = recording(leaf)
+        model.forward(x, Tape() if taped else None)
+        assert ran == [leaf.name for leaf in model.leaves()]
 
 
 class TestPadding:

@@ -67,7 +67,7 @@ BUDGET_PRESETS = ("mbconv-base", "mbconv-wider")
 BUDGET_AXES = ("volume", "channels", "depth")
 # budgets as multiples of the reversible estimate: the base itself, between
 # grid steps, the claims' store-all ratio, and one that grows every axis
-BUDGET_FACTORS = (1.0, 1.5, 2.48, 10)
+BUDGET_FACTORS = (1.0, 1.5, 3.07, 10)
 # the whole-volume inference entry: the config, and a phantom size that pads
 SEGMENT_CONFIG = dict(widths=(8, 16, 32, 64), image_size=(64, 64, 64), block_kind="standard")
 SEGMENT_SIZE = 60
